@@ -18,9 +18,14 @@ from zsmagic import (
     zsp,
 )
 
-# Odd order: pairs {g, -g} and mirrored triples assemble the blocks.
+# Odd order: a coset lift.  The representatives of a subgroup H of index
+# m are shifted to sum to zero; each h in H then gives the block
+# {a_r + c_r h} with c = (1, 1, -2, 1, -1, ...).  It is a closed form, so
+# large groups are cheap too.
 z9 = parse_group_spec("Z9")
 print(partition_to_text(zsp(z9, 3)))
+z3_7 = parse_group_spec("x".join(["Z3"] * 7))
+print(f"{z3_7}: {len(zsp(z3_7, 3).blocks)} blocks of 3")
 
 # Even order, odd block size: the odd part is partitioned first, then each
 # block is lifted once per 2-part element through a triple bijection.

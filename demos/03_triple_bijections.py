@@ -11,8 +11,8 @@ from zsmagic import (
     base_tables,
     bijection_to_text,
     parse_group_spec,
+    search_triple_bijection,
     triple_bijection,
-    triple_bijection_by_search,
     verify_triple_bijection,
 )
 
@@ -25,12 +25,14 @@ for factors, tb in base_tables().items():
 
 # Everything else reduces: products split componentwise, three-factor
 # 2-groups lift through index-4 or index-8 subgroups, and two-factor
-# 2-groups use a doubling construction (small ones: bounded search).
+# 2-groups use a doubling construction.
 for text in ("Z2xZ2xZ3", "Z2xZ2xZ16", "Z4xZ4xZ4", "Z4xZ4", "Z2xZ32", "Z15"):
     spec = parse_group_spec(text)
     tb = triple_bijection(spec)
     print(f"{text}: verified = {verify_triple_bijection(tb).ok}")
 
-# The bounded search fallback returns the lexicographically least pair.
-tb = triple_bijection_by_search(parse_group_spec("Z2xZ2"))
-print(bijection_to_text(tb))
+# The exhaustive oracle, which never calls the constructors, returns the
+# least pair in enumeration order.
+report = search_triple_bijection(parse_group_spec("Z2xZ2"))
+print(f"oracle: found = {report.found}, nodes = {report.nodes}")
+print(bijection_to_text(report.witness))

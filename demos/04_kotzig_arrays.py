@@ -34,7 +34,8 @@ except NonexistenceError as exc:
     print("Z4 with 3 rows:", exc)
 
 # Integer arrays: even j stacks identity/reversed pairs; odd j (odd k)
-# adds a backtracked 3 x k block.  Column sums are j(k-1)/2.
+# adds a closed-form 3 x k block (row 2 rotated by (k-1)/2, row 3 forced).
+# Column sums are j(k-1)/2.
 print(array_to_text(build_int_kotzig(2, 4)))
 print(array_to_text(build_int_kotzig(5, 7)))
 try:

@@ -198,7 +198,7 @@ def _verify_payload(text: str, graph_path: str | None):
         return "partition-sizes", bool(check.ok), check.reason
     if kind == "report":
         rkind, report = oracle.report_from_text(text)
-        if not report.found or report.witness is None:
+        if not report.found:
             return "report", True, "no witness to check"
         body = oracle.report_to_text(report, rkind).split("\n", 1)[1]
         return _verify_payload(body, graph_path)

@@ -165,6 +165,26 @@ def parse_element(text: str) -> Element:
         raise GroupSpecError(f"bad element {text!r}") from exc
 
 
+def header_fields(tokens, ints=()) -> dict:
+    """``key=value`` tokens of a certificate header line.
+
+    Every key in ``ints`` must be present and is converted to an integer;
+    anything malformed raises ``GroupSpecError``.
+    """
+    fields = {}
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise GroupSpecError(f"bad header field {token!r}")
+        fields[key] = value
+    for key in ints:
+        try:
+            fields[key] = int(fields[key])
+        except (KeyError, ValueError) as exc:
+            raise GroupSpecError(f"header needs an integer {key}=") from exc
+    return fields
+
+
 # -- factorisation and canonical form ----------------------------------------
 
 

@@ -9,7 +9,6 @@ any constant column sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     GroupSpecError,
@@ -17,10 +16,8 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, format_element, in_class_g, parse_element, parse_group_spec
-from .zsp import triple_bijection
-
-INT_BASE_BLOCK_CAP = 99
+from .groups import Element, GroupSpec, format_element, header_fields, in_class_g, parse_group_spec
+from .zsp import parse_blocks, triple_bijection
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def verify_kotzig(array) -> ArrayCheck:
 
     Reports the first violating row or column.  Group arrays may have any
     constant column sum; integer column sums are forced to j(k-1)/2 by
-    the row sums anyway.
+    the row sums anyway.  An array without rows is rejected.
     """
     if isinstance(array, GroupKotzigArray):
         spec = array.spec
@@ -86,6 +83,8 @@ def verify_kotzig(array) -> ArrayCheck:
         sums = [sum(row[c] for row in array.rows) for c in range(array.k)]
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
+    if not array.rows:
+        return ArrayCheck(False, reason="the array has no rows")
     for c in range(1, len(sums)):
         if sums[c] != sums[0]:
             return ArrayCheck(
@@ -150,47 +149,23 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
     return _checked(GroupKotzigArray(spec, rows))
 
 
-@lru_cache(maxsize=None)
 def _int_base_3xk(k: int) -> tuple[tuple[int, ...], ...]:
-    """Backtracking 3 x k block for odd k: row 1 fixed, row 3 forced.
+    """3 x k block for odd k with column sums 3h, h = (k-1)/2.
 
-    Column sums are 3(k-1)/2; the result is cached per k.
+    Row 2 is row 1 rotated by h.  Row 3, forced to 3h - c - row2[c], takes
+    the even values k-1, k-3, ..., 0 on columns c <= h and the odd values
+    k-2, k-4, ..., 1 on the rest, so it is a permutation too.
     """
-    target = 3 * (k - 1) // 2
-    row2 = [-1] * k
-    used2 = [False] * k
-    used3 = [False] * k
-
-    def extend(c: int) -> bool:
-        if c == k:
-            return True
-        for v in range(k):
-            if used2[v]:
-                continue
-            w = target - c - v
-            if w < 0 or w >= k or used3[w]:
-                continue
-            row2[c] = v
-            used2[v] = True
-            used3[w] = True
-            if extend(c + 1):
-                return True
-            used2[v] = False
-            used3[w] = False
-        return False
-
-    if not extend(0):
-        raise AssertionError(f"internal: no 3 x {k} base block found")
-    row1 = tuple(range(k))
-    row3 = tuple(target - c - row2[c] for c in range(k))
-    return (row1, tuple(row2), row3)
+    half = (k - 1) // 2
+    row2 = tuple((c + half) % k for c in range(k))
+    return (tuple(range(k)), row2, tuple(3 * half - c - v for c, v in enumerate(row2)))
 
 
 def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
     """j x k integer Kotzig array; exists when j > 1 and j(k-1) is even.
 
     Even j stacks (identity row, reversed row) pairs; odd j (so k odd)
-    adds one backtracked 3 x k block.
+    adds one closed-form 3 x k block.
     """
     if j < 1 or k < 1:
         raise ParameterError(f"grid dimensions must be positive, got {j} x {k}")
@@ -206,8 +181,6 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
     if j % 2 == 0:
         rows = (identity, reverse) * (j // 2)
     else:
-        if k > INT_BASE_BLOCK_CAP:
-            raise ParameterError(f"odd row counts supported up to k = {INT_BASE_BLOCK_CAP}")
         rows = _int_base_3xk(k) + (identity, reverse) * ((j - 3) // 2)
     return _checked(IntKotzigArray(k, rows))
 
@@ -228,25 +201,27 @@ def array_to_text(array) -> str:
 
 
 def array_from_text(text: str):
+    """Parse a Kotzig certificate; the header's j and k must match the body."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise GroupSpecError("empty array certificate")
-    header = lines[0].split()
-    if header[0] == "kotzig":
+    header = lines[0].split() if lines else []
+    if header[:1] == ["kotzig"] and len(header) == 4:
         spec = parse_group_spec(header[1])
-        rows = tuple(
-            tuple(spec.reduce(parse_element(p)) for p in ln.split()) for ln in lines[1:]
+        fields = header_fields(header[2:], ints=("j", "k"))
+        array = GroupKotzigArray(spec, tuple(parse_blocks(lines[1:], spec)))
+    elif header[:1] == ["kotzig-int"] and len(header) == 3:
+        fields = header_fields(header[1:], ints=("j", "k"))
+        try:
+            rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
+        except ValueError as exc:
+            raise GroupSpecError(f"bad integer array row: {exc}") from exc
+        array = IntKotzigArray(fields["k"], rows)
+    else:
+        raise GroupSpecError("not a Kotzig array certificate")
+    if array.j < 1 or (fields["j"], fields["k"]) != (array.j, array.k):
+        raise GroupSpecError(
+            f"header says j={fields['j']} k={fields['k']}, "
+            f"the body has {array.j} rows over {array.k} values"
         )
-        for row in rows:
-            if len(row) != spec.order:
-                raise GroupSpecError("row length does not match the group order")
-        return GroupKotzigArray(spec, rows)
-    if header[0] == "kotzig-int":
-        fields = dict(part.split("=", 1) for part in header[1:])
-        k = int(fields["k"])
-        rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
-        for row in rows:
-            if len(row) != k:
-                raise GroupSpecError("row length does not match k")
-        return IntKotzigArray(k, rows)
-    raise GroupSpecError("not a Kotzig array certificate")
+    if any(len(row) != array.k for row in array.rows):
+        raise GroupSpecError("row length does not match k")
+    return array

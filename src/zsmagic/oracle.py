@@ -25,6 +25,7 @@ from .groups import (
     GroupSpec,
     abelian_groups_up_to,
     format_element,
+    header_fields,
     involution_count,
     parse_group_spec,
     sum_all,
@@ -618,11 +619,14 @@ def sized_partition_to_text(spec: GroupSpec, blocks) -> str:
 
 def sized_partition_from_text(text: str):
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("partition-sizes "):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["partition-sizes"] or len(header) != 3:
         raise GroupSpecError("not a sized-partition certificate")
-    header = lines[0].split()
     spec = parse_group_spec(header[1])
-    sizes = tuple(int(s) for s in header[2][len("sizes="):].split(","))
+    try:
+        sizes = tuple(int(s) for s in header_fields(header[2:])["sizes"].split(","))
+    except (KeyError, ValueError) as exc:
+        raise GroupSpecError("header needs sizes=<size>,<size>,...") from exc
     blocks = parse_blocks(lines[1:], spec)
     return spec, blocks, sizes
 
@@ -634,6 +638,9 @@ _WITNESS_KINDS = {
     "kotzig-int": (array_to_text, array_from_text),
     "labeling": (labeling_to_text, labeling_from_text),
 }
+
+
+_REPORT_KINDS = {*_WITNESS_KINDS, "sized-partition"}
 
 
 def witness_kind(witness) -> str:
@@ -680,17 +687,21 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
             break
     if header is None or header[0] != "report":
         raise GroupSpecError("not a search report")
-    fields = dict(part.split("=", 1) for part in header[1:])
+    fields = header_fields(header[1:], ints=("nodes",))
     kind = fields.get("kind", "unknown")
     found = fields.get("found") == "true"
+    # a report without a witness may leave its kind unknown
+    if kind not in (_REPORT_KINDS if found else _REPORT_KINDS | {"unknown"}):
+        raise GroupSpecError(f"unknown report kind {kind!r}")
     exhausted = fields.get("exhausted") == "true"
-    nodes = int(fields.get("nodes", "0"))
     witness = None
     body = "\n".join(lines[rest_start:])
-    if found and body.strip():
+    if found:
+        if not body.strip():
+            raise GroupSpecError("report says found=true but carries no witness")
         if kind == "sized-partition":
             spec, blocks, _sizes = sized_partition_from_text(body)
             witness = (spec, tuple(tuple(b) for b in blocks))
         else:
             witness = _WITNESS_KINDS[kind][1](body)
-    return kind, SearchReport(found, exhausted, nodes, witness)
+    return kind, SearchReport(found, exhausted, fields["nodes"], witness)

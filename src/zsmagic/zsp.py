@@ -7,10 +7,14 @@ Three builders live here, each paired with an independent verifier:
 * ``triple_bijection`` produces permutations ``phi``, ``psi`` of the group
   with ``g + phi(g) + psi(g) = 0`` for every ``g``, via a ladder of
   closed forms, fixed seed tables for the three smallest three-factor
-  2-groups, two quotient liftings, and a bounded deterministic search.
+  2-groups, two quotient liftings and a doubling construction for two
+  cyclic factors.
 * ``zsp`` partitions the whole group into equal-size zero-sum blocks;
   it exists exactly when the order is odd, or the block size is at
   least 3 and the group has more than one involution.
+
+None of the builders searches: every route is a closed form or a
+structural recursion on the group.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .errors import (
     ArityError,
@@ -31,6 +36,7 @@ from .groups import (
     Element,
     GroupSpec,
     format_element,
+    header_fields,
     in_class_g,
     parse_element,
     parse_group_spec,
@@ -38,8 +44,6 @@ from .groups import (
     two_part_split,
     two_torsion_rank,
 )
-
-_SEARCH_ORDER_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -480,11 +484,6 @@ def _quotient8_maps(spec: GroupSpec) -> tuple[dict, dict]:
     return phi, psi
 
 
-def _search_maps(spec: GroupSpec) -> tuple[dict, dict]:
-    tb = triple_bijection_by_search(spec)
-    return _maps_from_tb(tb)
-
-
 def _fibonacci_maps(spec: GroupSpec) -> dict:
     """phi for Z_m x Z_m: (x, y) -> (y, x + y).
 
@@ -566,61 +565,7 @@ def _ladder_maps(spec: GroupSpec) -> tuple[dict, dict]:
         if exps[1] >= 2:
             return _quotient22_maps(spec)
         return _quotient8_maps(spec)
-    # two cyclic factors: the backtracking fallback is only tractable at
-    # small orders, so larger groups use the doubling construction
-    if spec.order <= 16:
-        return _search_maps(spec)
     return _two_factor_maps(spec)
-
-
-def triple_bijection_by_search(
-    spec: GroupSpec, *, max_order: int = _SEARCH_ORDER_CAP
-) -> TripleBijection:
-    """Deterministic backtracking fallback; returns the enumeration-least pair.
-
-    phi values are tried in enumeration order for each g in enumeration
-    order; psi is forced to -g - phi(g) and pruned on injectivity.
-    """
-    if not in_class_g(spec):
-        raise NonexistenceError(
-            f"{spec} has exactly one involution, so the element sum is that "
-            "involution and no triple bijection exists"
-        )
-    n = spec.order
-    if n > max_order:
-        raise ParameterError(f"search fallback capped at order {max_order}, got {n}")
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    neg_sum = [
-        [index[spec.neg(spec.add(g, v))] for v in elems] for g in elems
-    ]
-    phi = [-1] * n
-    psi = [-1] * n
-    used_phi = [False] * n
-    used_psi = [False] * n
-
-    def extend(g: int) -> bool:
-        if g == n:
-            return True
-        for v in range(n):
-            if used_phi[v]:
-                continue
-            w = neg_sum[g][v]
-            if used_psi[w]:
-                continue
-            phi[g] = v
-            psi[g] = w
-            used_phi[v] = True
-            used_psi[w] = True
-            if extend(g + 1):
-                return True
-            used_phi[v] = False
-            used_psi[w] = False
-        return False
-
-    if not extend(0):
-        raise NonexistenceError(f"no triple bijection exists for {spec}")
-    return TripleBijection(spec, tuple(phi), tuple(psi))
 
 
 def triple_bijection(spec: GroupSpec) -> TripleBijection:
@@ -628,9 +573,10 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     more than one involution.
 
     Strategy order: odd-order closed form, componentwise product of two
-    admissible parts, seed tables, the two quotient liftings, bounded
-    search.  Mixed cyclic factors are refined to prime powers internally
-    and the result is translated back to the given presentation.
+    admissible parts, seed tables, the two quotient liftings, the
+    two-factor doubling construction.  Mixed cyclic factors are refined to
+    prime powers internally and the result is translated back to the given
+    presentation.
     """
     if not in_class_g(spec):
         raise NonexistenceError(
@@ -692,38 +638,24 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     closure = {e for blk in quads for e in blk}
     pairs = _inverse_pairs(spec, exclude=closure)
     t = spec.order // m2
+    seeded = m2 % 4 == 2
+    if seeded and len(pairs) < t:
+        raise ParameterError(f"cannot assemble blocks of size {m2} for {spec}")
+    seeds, rest = (pairs[:t], pairs[t:]) if seeded else ([()] * t, pairs)
     blocks: list[list[Element]] = []
     qi = pi = 0
-    if m2 % 4 == 2:
-        if len(pairs) < t:
-            raise ParameterError(f"cannot assemble blocks of size {m2} for {spec}")
-        reserved, rest = pairs[:t], pairs[t:]
-        for b in range(t):
-            block = list(reserved[b])
-            cap = m2 - 2
-            while cap >= 4 and qi < len(quads):
-                block.extend(quads[qi])
-                qi += 1
-                cap -= 4
-            while cap >= 2:
-                block.extend(rest[pi])
-                pi += 1
-                cap -= 2
-            blocks.append(block)
-    else:
-        rest = pairs
-        for b in range(t):
-            block: list[Element] = []
-            cap = m2
-            while cap >= 4 and qi < len(quads):
-                block.extend(quads[qi])
-                qi += 1
-                cap -= 4
-            while cap >= 2:
-                block.extend(rest[pi])
-                pi += 1
-                cap -= 2
-            blocks.append(block)
+    for seed in seeds:
+        block = list(seed)
+        cap = m2 - len(block)
+        while cap >= 4 and qi < len(quads):
+            block.extend(quads[qi])
+            qi += 1
+            cap -= 4
+        while cap >= 2:
+            block.extend(rest[pi])
+            pi += 1
+            cap -= 2
+        blocks.append(block)
     partition = ZeroSumPartition.from_blocks(spec, m2, blocks)
     check = verify_zsp(spec, partition, m2)
     if not check.ok:
@@ -731,139 +663,43 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     return partition
 
 
-def _mirrored_triples(spec: GroupSpec, count: int, pool: tuple[Element, ...]):
-    """Find ``count`` disjoint zero-sum triples whose negations are also
-    disjoint from everything chosen; the leftover pool stays closed under
-    negation.  Returns None when no arrangement exists."""
-    if count == 0:
-        return []
-    if len(pool) < 6 * count:
-        return None
-    pool_set = set(pool)
-    a = pool[0]
-    for y in pool[1:]:
-        z = spec.neg(spec.add(a, y))
-        if z <= y or z not in pool_set or z == a:
-            continue
-        trip = (a, y, z)
-        mirror = tuple(sorted(spec.neg(x) for x in trip))
-        removed = set(trip) | set(mirror)
-        if len(removed) != 6:
-            continue
-        sub = _mirrored_triples(
-            spec, count - 1, tuple(e for e in pool if e not in removed)
-        )
-        if sub is not None:
-            return [trip] + sub
-    na = spec.neg(a)
-    return _mirrored_triples(
-        spec, count, tuple(e for e in pool if e != a and e != na)
-    )
-
-
-def _exhaustive_equal_blocks(spec: GroupSpec, m: int):
-    """Plain canonical backtracking over full partitions; constructor fallback."""
-    elems = spec.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    assigned = [False] * n
-    blocks: list[list[int]] = []
-
-    def add(i, j):
-        return index[spec.add(elems[i], elems[j])]
-
-    neg = [index[spec.neg(e)] for e in elems]
-
-    def least_free() -> int:
-        for i in range(n):
-            if not assigned[i]:
-                return i
-        return -1
-
-    def extend(block: list[int], total: int) -> bool:
-        if len(block) == m:
-            if total != index[spec.identity()]:
-                return False
-            blocks.append(list(block))
-            anchor = least_free()
-            if anchor < 0:
-                return True
-            assigned[anchor] = True
-            ok = extend([anchor], anchor)
-            if not ok:
-                assigned[anchor] = False
-                blocks.pop()
-            return ok
-        if len(block) == m - 1:
-            forced = neg[total]
-            if forced > block[-1] and not assigned[forced]:
-                assigned[forced] = True
-                ok = extend(block + [forced], add(total, forced))
-                if not ok:
-                    assigned[forced] = False
-                return ok
-            return False
-        for i in range(block[-1] + 1, n):
-            if assigned[i]:
-                continue
-            assigned[i] = True
-            if extend(block + [i], add(total, i)):
-                return True
-            assigned[i] = False
-        return False
-
-    assigned[0] = True
-    if not extend([0], 0):
-        return None
-    return [[elems[i] for i in blk] for blk in blocks]
-
-
 def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
-    """Equal-size zero-sum partition of an odd-order group.
+    """Equal-size zero-sum partition of an odd-order group by a coset lift.
 
-    The identity block takes (m-1)/2 inverse pairs; every other block is
-    one zero-sum triple plus (m-3)/2 inverse pairs.  Triples are chosen in
-    mirrored pairs so the leftover elements always split into inverse
-    pairs; the block count t = n/m is odd, so t-1 is even.
+    A subgroup H of order n/m is picked one coordinate at a time: factor
+    f_i gives up d_i = gcd(f_i, what is left of m), so the box of tuples
+    with coordinate i in [0, d_i) is a transversal of G/H.  The quotient
+    has odd order, so the box sums into H; subtracting that sum from the identity representative
+    makes the representatives a_r sum to the identity.  Every h in H gives
+    the block {a_r + c_r h} with c = (1, 1, -2, 1, -1, ..., 1, -1): the c_r
+    sum to 0 and are units on H, so each block sums to the identity and
+    the r-th entries run once over the coset a_r + H.
     """
-    n = spec.order
-    t = n // m
-    pool = tuple(e for e in spec.elements() if e != spec.identity())
-    seeds = _mirrored_triples(spec, (t - 1) // 2, pool)
-    if seeds is not None:
-        used = {e for trip in seeds for e in trip}
-        used |= {spec.neg(e) for e in used}
-        pads = _inverse_pairs(spec, exclude=used | {spec.identity()})
-        blocks: list[list[Element]] = []
-        first = [spec.identity()]
-        pi = 0
-        for _ in range((m - 1) // 2):
-            first.extend(pads[pi])
-            pi += 1
-        blocks.append(first)
-        ordered: list[tuple[Element, ...]] = []
-        for trip in seeds:
-            ordered.append(trip)
-            ordered.append(tuple(sorted(spec.neg(x) for x in trip)))
-        for trip in ordered:
-            block = list(trip)
-            for _ in range((m - 3) // 2):
-                block.extend(pads[pi])
-                pi += 1
-            blocks.append(block)
-        partition = ZeroSumPartition.from_blocks(spec, m, blocks)
-        if verify_zsp(spec, partition, m).ok:
-            return partition
-    found = _exhaustive_equal_blocks(spec, m)
-    if found is None:
-        raise AssertionError(f"internal: no {m}-block partition found for {spec}")
-    return ZeroSumPartition.from_blocks(spec, m, found)
+    factors = spec.factors
+    steps = []
+    left = m
+    for f in factors:
+        steps.append(math.gcd(f, left))
+        left //= steps[-1]
+    reps = list(product(*(range(d) for d in steps)))
+    # coordinate i of the box sums to (m / d) * d(d - 1) / 2
+    reps[0] = tuple(-(m * (d - 1) // 2) % f for d, f in zip(steps, factors))
+    coeffs = (1, 1, -2) + (1, -1) * ((m - 3) // 2)
+    blocks = [
+        [tuple((a + c * x) % f for a, x, f in zip(rep, h, factors)) for rep, c in zip(reps, coeffs)]
+        for h in product(*(range(0, f, d) for f, d in zip(factors, steps)))
+    ]
+    partition = ZeroSumPartition.from_blocks(spec, m, blocks)
+    check = verify_zsp(spec, partition, m)
+    if not check.ok:
+        raise AssertionError(f"internal: coset lift failed: {check.reason}")
+    return partition
 
 
 def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     """Partition into blocks of odd size ``m >= 3``.
 
-    Odd-order groups use the pair/triple base construction directly.  For
+    Odd-order groups use the coset lift of ``_odd_base_partition``.  For
     even order the group splits as (2-part) x (odd part); the odd part is
     partitioned first and every block is lifted once per 2-part element
     ``w``, with first coordinates phi(w), psi(w) and m-2 copies of the
@@ -964,10 +800,10 @@ def partition_from_text(text: str) -> ZeroSumPartition:
     if not lines or not lines[0].startswith("partition "):
         raise GroupSpecError("not a partition certificate")
     header = lines[0].split()
-    if len(header) != 3 or not header[2].startswith("m="):
+    if len(header) != 3:
         raise GroupSpecError(f"bad partition header {lines[0]!r}")
     spec = parse_group_spec(header[1])
-    m = int(header[2][2:])
+    m = header_fields(header[2:], ints=("m",))["m"]
     blocks = parse_blocks(lines[1:], spec)
     return ZeroSumPartition.from_blocks(spec, m, blocks)
 
@@ -981,9 +817,10 @@ def bijection_to_text(tb: TripleBijection) -> str:
 
 def bijection_from_text(text: str) -> TripleBijection:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("bijection "):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["bijection"] or len(header) != 2:
         raise GroupSpecError("not a bijection certificate")
-    spec = parse_group_spec(lines[0].split()[1])
+    spec = parse_group_spec(header[1])
     n = spec.order
     phi = [-1] * n
     psi = [-1] * n

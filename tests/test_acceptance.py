@@ -210,3 +210,21 @@ def test_criterion_9_conjecture_scan():
             assert report.found, (spec, sizes)
             instances += 1
         assert instances == 79
+
+
+@pytest.mark.parametrize("group", ["Z81", "Z105", "x".join(["Z3"] * 7), "Z2xZ2xZ81"])
+def test_criterion_10_odd_block_partitions_at_scale(group):
+    # closed-form coset lift; a backtracking search took 25 s on Z81
+    with _Timer(f"10 (3-block partition of {group})", 5.0):
+        spec = parse_group_spec(group)
+        check = verify_zsp(spec, zsp(spec, 3), 3)
+        assert check.ok, check.reason
+
+
+@pytest.mark.parametrize("j, k", [(3, 999), (5, 1001)])
+def test_criterion_11_odd_row_integer_arrays_at_scale(j, k):
+    # closed-form 3 x k base block; a backtracking search took 9 s at k = 29
+    with _Timer(f"11 ({j} x {k} integer array)", 5.0):
+        array = build_int_kotzig(j, k)
+        assert verify_kotzig(array).ok
+        assert array.column_sum() == j * (k - 1) // 2

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from zsmagic import array_to_text, build_group_kotzig, parse_group_spec
 from zsmagic.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -12,6 +13,7 @@ from zsmagic.cli import (
 )
 
 K4_GRAPH = "p 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
+Z2Z6_ARRAY = array_to_text(build_group_kotzig(parse_group_spec("Z2xZ6"), 3))
 
 
 def run(capsys, *argv):
@@ -171,3 +173,38 @@ class TestJsonMode:
             "order": 6,
             "sum_all": "3",
         }
+
+
+class TestVerifyExitCodes:
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            pytest.param(Z2Z6_ARRAY, EXIT_OK, id="valid-array"),
+            pytest.param(
+                "report kind=zsp found=false exhausted=true nodes=3\n", EXIT_OK, id="report-not-found"
+            ),
+            # headers that the body contradicts
+            pytest.param("kotzig Z5 j=7 k=5\n", EXIT_INVALID, id="array-without-rows"),
+            pytest.param("kotzig-int k=3\n", EXIT_INVALID, id="int-array-without-rows"),
+            pytest.param(Z2Z6_ARRAY.replace(" j=3 ", " j=5 "), EXIT_INVALID, id="array-edited-j"),
+            pytest.param(
+                "report kind=zsp found=true exhausted=true nodes=3\n", EXIT_INVALID, id="found-without-witness"
+            ),
+            # malformed headers
+            pytest.param("kotzig\n", EXIT_INVALID, id="bare-array-header"),
+            pytest.param("kotzig-int j=2\n0 1 2\n2 1 0\n", EXIT_INVALID, id="int-array-without-k"),
+            pytest.param("partition-sizes Z8\n1 7\n2 6\n3 5\n4\n", EXIT_INVALID, id="sizes-missing"),
+            pytest.param(
+                "report kind=bogus found=true exhausted=true nodes=1\n", EXIT_INVALID, id="unknown-report-kind"
+            ),
+        ],
+    )
+    def test_table(self, capsys, tmp_path, text, code):
+        cert = tmp_path / "c.cert"
+        cert.write_text(text)
+        got, out, err = run(capsys, "verify", str(cert))
+        assert got == code
+        if code == EXIT_INVALID:
+            assert err.startswith("error (invalid-input)") and "Traceback" not in err
+        else:
+            assert out.startswith("accept")

@@ -130,6 +130,10 @@ class TestVerifier:
         assert verify_kotzig(array).ok
         assert array.column_sum() == (1,)
 
+    def test_rejects_array_without_rows(self):
+        assert not verify_kotzig(GroupKotzigArray(GroupSpec((5,)), ())).ok
+        assert not verify_kotzig(IntKotzigArray(3, ())).ok
+
     def test_rejects_unknown_type(self):
         with pytest.raises(ParameterError):
             verify_kotzig([[0, 1], [1, 0]])

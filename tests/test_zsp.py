@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from conftest import group_specs
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from zsmagic import (
     involution_count,
     involution_quadruples,
     involutions,
+    partition_to_text,
+    search_triple_bijection,
     triple_bijection,
-    triple_bijection_by_search,
     verify_triple_bijection,
     verify_zsp,
     zsp,
@@ -131,15 +134,17 @@ class TestTripleBijection:
             assert verify_triple_bijection(triple_bijection(spec)).ok, factors
 
     def test_ladder_consistency_with_search(self):
-        # where both the structured route and plain search apply, both verify
+        # where both the structured route and the exhaustive oracle apply,
+        # both verify
         for factors in ((2, 2, 3), (2, 2, 2), (2, 4)):
             spec = GroupSpec(factors)
             assert verify_triple_bijection(triple_bijection(spec)).ok
-            assert verify_triple_bijection(triple_bijection_by_search(spec)).ok
+            report = search_triple_bijection(spec)
+            assert report.found and verify_triple_bijection(report.witness).ok
 
     def test_search_cap(self):
         with pytest.raises(ParameterError):
-            triple_bijection_by_search(GroupSpec((2, 2)), max_order=2)
+            search_triple_bijection(GroupSpec((2, 16)))
 
     def test_works_for_every_admissible_group_up_to_48(self):
         for spec in abelian_groups_up_to(48):
@@ -198,6 +203,19 @@ class TestZspEven:
         with pytest.raises(NonexistenceError):
             zsp_even(GroupSpec((8,)), 4)
 
+    @pytest.mark.parametrize(
+        "factors, m, digest",
+        [
+            # m = 2 mod 4: every block is seeded with a reserved inverse pair
+            ((2, 6, 48), 6, "5d1e067d3dae01b02ae47691c548b57b4a16c27c2cf0e06cd4e4b5feeae95c15"),
+            # m = 0 mod 4: blocks start empty
+            ((2,) * 6, 4, "8f90b18a0a7b1ea6afe2a89c38a049b58419225959e693c3888b7abf6b4ded26"),
+        ],
+    )
+    def test_pinned_certificates(self, factors, m, digest):
+        text = partition_to_text(zsp(GroupSpec(factors), m))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
             zsp_even(GroupSpec((2, 2, 3)), 3)
@@ -225,6 +243,26 @@ class TestZspOdd:
         spec = GroupSpec((6, 6))
         part = zsp_odd(spec, 3)
         assert verify_zsp(spec, part, 3).ok
+
+    def test_every_odd_order_group_up_to_243(self):
+        instances = 0
+        for spec in abelian_groups_up_to(243):
+            if spec.order % 2 == 0:
+                continue
+            for m in range(3, spec.order + 1, 2):
+                if spec.order % m == 0:
+                    assert verify_zsp(spec, zsp(spec, m), m).ok, (spec, m)
+                    instances += 1
+        assert instances == 476
+
+    def test_mixed_odd_presentations(self):
+        # the subgroup is picked factor by factor, so no prime-power
+        # refinement is needed
+        for factors in ((3, 15), (5, 15), (9, 15, 5), (15, 15), (21, 3)):
+            spec = GroupSpec(factors)
+            for m in range(3, spec.order + 1, 2):
+                if spec.order % m == 0:
+                    assert verify_zsp(spec, zsp_odd(spec, m), m).ok, (spec, m)
 
 
 class TestZspDispatcher:
