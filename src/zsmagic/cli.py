@@ -76,8 +76,8 @@ def _handle_info(args):
 
 def _handle_zsp(args):
     spec = parse_group_spec(args.group)
+    # the constructor verifies the partition and raises if the check fails
     partition = build_zsp(spec, args.m)
-    check = verify_zsp(spec, partition, args.m)
     cert = partition_to_text(partition)
     doc = {
         "command": "zsp",
@@ -85,9 +85,9 @@ def _handle_zsp(args):
         "m": args.m,
         "blocks": len(partition.blocks),
         "certificate": cert,
-        "verified": bool(check.ok),
+        "verified": True,
     }
-    text = cert.splitlines() + [f"# verified: {'accept' if check.ok else 'reject'}"]
+    text = cert.splitlines() + ["# verified: accept"]
     return EXIT_OK, doc, text
 
 
@@ -107,6 +107,7 @@ def _handle_bijection(args):
 
 
 def _handle_kotzig(args):
+    # build_group_kotzig and build_int_kotzig verify the array and raise on failure
     if args.int_mode:
         try:
             k = int(args.target)
@@ -118,7 +119,6 @@ def _handle_kotzig(args):
         spec = parse_group_spec(args.target)
         array = kotzig.build_group_kotzig(spec, args.j)
         column_sum = format_element(array.column_sum())
-    check = kotzig.verify_kotzig(array)
     cert = kotzig.array_to_text(array)
     doc = {
         "command": "kotzig",
@@ -127,12 +127,9 @@ def _handle_kotzig(args):
         "int_mode": args.int_mode,
         "column_sum": column_sum,
         "certificate": cert,
-        "verified": bool(check.ok),
+        "verified": True,
     }
-    text = cert.splitlines() + [
-        f"# column sum: {column_sum}",
-        f"# verified: {'accept' if check.ok else 'reject'}",
-    ]
+    text = cert.splitlines() + [f"# column sum: {column_sum}", "# verified: accept"]
     return EXIT_OK, doc, text
 
 

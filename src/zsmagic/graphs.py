@@ -21,6 +21,7 @@ from .groups import (
     involution_count,
     parse_element,
     parse_group_spec,
+    parse_ints,
     two_part_split,
 )
 from .zsp import zsp
@@ -255,9 +256,11 @@ class Verdict:
 
 
 def weights(g: Graph, labeling: Labeling) -> list[Element]:
-    """Open-neighborhood label sums; empty neighborhoods weigh the identity."""
+    """Open-neighborhood label sums, one reduced coordinate sum at a time;
+    empty neighborhoods weigh the identity."""
     spec = labeling.spec
-    return [spec.sum(labeling.assignment[w] for w in g.adj[v]) for v in range(g.n)]
+    coords = [([e[t] for e in labeling.assignment], f) for t, f in enumerate(spec.factors)]
+    return [tuple(sum(map(col.__getitem__, adj)) % f for col, f in coords) for adj in g.adj]
 
 
 def verify_labeling(g: Graph, labeling: Labeling) -> Verdict:
@@ -419,21 +422,26 @@ def graph_to_text(g: Graph) -> str:
 def graph_from_text(text: str) -> Graph:
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "p" and len(parts) == 2:
-            if n is not None:
-                raise GroupSpecError(f"line {lineno}: duplicate vertex-count line")
-            n = int(parts[1])
-        elif parts[0] == "e" and len(parts) == 3:
-            if n is None:
-                raise GroupSpecError(f"line {lineno}: edge before vertex-count line")
-            edges.append((int(parts[1]), int(parts[2])))
-        else:
-            raise GroupSpecError(f"line {lineno}: bad graph line {raw!r}")
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if parts[0] == "p" and len(parts) == 2:
+                if n is not None:
+                    raise GroupSpecError(f"line {lineno}: duplicate vertex-count line")
+                n = int(parts[1])
+            elif parts[0] == "e" and len(parts) == 3:
+                if n is None:
+                    raise GroupSpecError(f"line {lineno}: edge before vertex-count line")
+                edges.append((int(parts[1]), int(parts[2])))
+            else:
+                raise GroupSpecError(f"line {lineno}: bad graph line {raw!r}")
+    except GroupSpecError:
+        raise
+    except ValueError as exc:  # a count or an endpoint that is not an integer
+        raise GroupSpecError(f"line {lineno}: bad graph line {raw!r}") from exc
     if n is None:
         raise GroupSpecError("missing 'p <vertex-count>' line")
     return Graph(n, edges)
@@ -447,19 +455,21 @@ def labeling_to_text(labeling: Labeling) -> str:
 
 
 def labeling_from_text(text: str) -> Labeling:
+    """Parse a labeling certificate; ``Labeling`` reduces each label once."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("labeling "):
+    header = lines[0].split() if lines else []
+    if header[:1] != ["labeling"] or len(header) != 2:
         raise GroupSpecError("not a labeling certificate")
-    spec = parse_group_spec(lines[0].split()[1])
-    assignment: list[Element | None] = [None] * spec.order
+    spec = parse_group_spec(header[1])
     if len(lines) - 1 != spec.order:
         raise GroupSpecError(f"expected {spec.order} vertex lines, found {len(lines) - 1}")
+    assignment: list[Element | None] = [None] * spec.order
     for line in lines[1:]:
         parts = line.split("\t") if "\t" in line else line.split(None, 1)
         if len(parts) != 2:
             raise GroupSpecError(f"bad labeling line {line!r}")
-        v = int(parts[0])
+        v = parse_ints(parts[:1])[0]
         if not 0 <= v < spec.order or assignment[v] is not None:
             raise GroupSpecError(f"bad or repeated vertex {v}")
-        assignment[v] = spec.reduce(parse_element(parts[1]))
+        assignment[v] = parse_element(parts[1])
     return Labeling(spec, tuple(assignment))

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
+from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
 from .errors import ArityError, GroupSpecError, ParameterError
 
@@ -28,7 +29,13 @@ _TOKEN_RE = re.compile(r"[zZ]([0-9]+)")
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finite Abelian group given as a sequence of cyclic factor orders."""
+    """A finite Abelian group given as a sequence of cyclic factor orders.
+
+    ``reduce`` validates and converts: it checks the arity of any iterable,
+    applies ``int()`` and reduces each coordinate modulo its factor.  The
+    arithmetic methods take integer sequences of the right arity (checked
+    once per operand) and return reduced tuples without calling ``reduce``.
+    """
 
     factors: tuple[int, ...]
 
@@ -57,37 +64,43 @@ class GroupSpec:
     def identity(self) -> Element:
         return (0,) * len(self.factors)
 
+    def _check(self, *elems) -> None:
+        for a in elems:
+            if len(a) != len(self.factors):
+                raise ArityError(
+                    f"element {tuple(a)} has {len(a)} coordinates, group {self} has "
+                    f"{len(self.factors)}"
+                )
+
     def reduce(self, a) -> Element:
         """Reduce each coordinate modulo its factor; validates arity."""
         a = tuple(a)
-        if len(a) != len(self.factors):
-            raise ArityError(
-                f"element {a} has {len(a)} coordinates, group {self} has "
-                f"{len(self.factors)}"
-            )
-        return tuple(int(x) % f for x, f in zip(a, self.factors))
+        self._check(a)
+        return tuple(map(_mod, map(int, a), self.factors))
 
     def add(self, a, b) -> Element:
-        a = self.reduce(a)
-        b = self.reduce(b)
-        return tuple((x + y) % f for x, y, f in zip(a, b, self.factors))
+        self._check(a, b)
+        return tuple(map(_mod, map(_add, a, b), self.factors))
 
     def neg(self, a) -> Element:
-        a = self.reduce(a)
-        return tuple((-x) % f for x, f in zip(a, self.factors))
+        self._check(a)
+        return tuple(map(_mod, map(_neg, a), self.factors))
 
     def sub(self, a, b) -> Element:
-        return self.add(a, self.neg(b))
+        self._check(a, b)
+        return tuple(map(_mod, map(_sub, a, b), self.factors))
 
     def scale(self, k: int, a) -> Element:
-        a = self.reduce(a)
-        return tuple((k * x) % f for x, f in zip(a, self.factors))
+        self._check(a)
+        return tuple([k * x % f for x, f in zip(a, self.factors)])
 
     def sum(self, elems) -> Element:
-        total = self.identity()
-        for e in elems:
-            total = self.add(total, e)
-        return total
+        """Add coordinate columns, then reduce once."""
+        elems = tuple(elems)
+        self._check(*elems)
+        if not elems:
+            return self.identity()
+        return tuple(map(_mod, map(sum, zip(*elems)), self.factors))
 
     # -- enumeration --------------------------------------------------------
 
@@ -109,18 +122,11 @@ class GroupSpec:
         return tuple(reversed(coords))
 
     def index_of(self, a) -> int:
-        a = self.reduce(a)
+        self._check(a)
         index = 0
         for x, f in zip(a, self.factors):
-            index = index * f + x
+            index = index * f + x % f
         return index
-
-    def contains(self, a) -> bool:
-        try:
-            self.reduce(a)
-        except ArityError:
-            return False
-        return True
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -147,7 +153,7 @@ def format_element(a: Element) -> str:
     """Render an element; single-factor groups print as a bare integer."""
     if len(a) == 1:
         return str(a[0])
-    return "(" + ",".join(str(x) for x in a) + ")"
+    return "(" + ",".join(map(str, a)) + ")"
 
 
 def parse_element(text: str) -> Element:
@@ -156,13 +162,21 @@ def parse_element(text: str) -> Element:
     if text.startswith("(") and text.endswith(")"):
         body = text[1:-1]
         try:
-            return tuple(int(p) for p in body.split(",")) if body else ()
+            return tuple(map(int, body.split(","))) if body else ()
         except ValueError as exc:
             raise GroupSpecError(f"bad element {text!r}") from exc
     try:
         return (int(text),)
     except ValueError as exc:
         raise GroupSpecError(f"bad element {text!r}") from exc
+
+
+def parse_ints(tokens) -> list[int]:
+    """Integer tokens of a certificate line; anything else raises ``GroupSpecError``."""
+    try:
+        return list(map(int, tokens))
+    except ValueError as exc:
+        raise GroupSpecError(f"bad integer in {' '.join(tokens)!r}") from exc
 
 
 def header_fields(tokens, ints=()) -> dict:

@@ -16,7 +16,8 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, format_element, header_fields, in_class_g, parse_group_spec
+from .groups import Element, GroupSpec, format_element, header_fields, in_class_g
+from .groups import parse_group_spec, parse_ints
 from .zsp import parse_blocks, triple_bijection
 
 
@@ -66,7 +67,8 @@ def verify_kotzig(array) -> ArrayCheck:
 
     Reports the first violating row or column.  Group arrays may have any
     constant column sum; integer column sums are forced to j(k-1)/2 by
-    the row sums anyway.  An array without rows is rejected.
+    the row sums anyway.  An array without rows is rejected.  Once every
+    row is a permutation, columns are summed one coordinate at a time.
     """
     if isinstance(array, GroupKotzigArray):
         spec = array.spec
@@ -74,13 +76,17 @@ def verify_kotzig(array) -> ArrayCheck:
         for r, row in enumerate(array.rows):
             if sorted(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of the group")
-        sums = [spec.sum(row[c] for row in array.rows) for c in range(array.k)]
+        coords = [
+            [sum(col) % f for col in zip(*([e[t] for e in row] for row in array.rows))]
+            for t, f in enumerate(spec.factors)
+        ]
+        sums = list(zip(*coords))
     elif isinstance(array, IntKotzigArray):
         full = list(range(array.k))
         for r, row in enumerate(array.rows):
             if sorted(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
-        sums = [sum(row[c] for row in array.rows) for c in range(array.k)]
+        sums = [sum(col) for col in zip(*array.rows)]
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
     if not array.rows:
@@ -100,23 +106,25 @@ def _checked(array):
     return array
 
 
+def _rows_2(spec: GroupSpec) -> tuple[tuple[Element, ...], ...]:
+    elems = spec.elements()
+    return (tuple(elems), tuple(spec.neg(g) for g in elems))
+
+
+def _rows_3(spec: GroupSpec) -> tuple[tuple[Element, ...], ...]:
+    tb = triple_bijection(spec)
+    elems = spec.elements()
+    return (tuple(elems), tuple(elems[i] for i in tb.phi), tuple(elems[i] for i in tb.psi))
+
+
 def build_group_kotzig_2(spec: GroupSpec) -> GroupKotzigArray:
     """2 x k array: first row the enumeration, second row the negations."""
-    elems = spec.elements()
-    rows = (tuple(elems), tuple(spec.neg(g) for g in elems))
-    return _checked(GroupKotzigArray(spec, rows))
+    return _checked(GroupKotzigArray(spec, _rows_2(spec)))
 
 
 def build_group_kotzig_3(spec: GroupSpec) -> GroupKotzigArray:
     """3 x k array from a triple bijection; columns sum to the identity."""
-    tb = triple_bijection(spec)
-    elems = spec.elements()
-    rows = (
-        tuple(elems),
-        tuple(tb.phi_of(g) for g in elems),
-        tuple(tb.psi_of(g) for g in elems),
-    )
-    return _checked(GroupKotzigArray(spec, rows))
+    return _checked(GroupKotzigArray(spec, _rows_3(spec)))
 
 
 def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
@@ -126,7 +134,7 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
     Even j stacks copies of the 2 x k array; odd j uses one 3 x k array
     plus 2 x k fillers.  For odd j and a single-involution group the total
     grid sum equals the involution while constant columns force identity,
-    so the build refuses.
+    so the build refuses.  The stacked array is verified once.
     """
     if j < 1:
         raise ParameterError(f"row count must be positive, got {j}")
@@ -135,17 +143,13 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
             "a 1 x k array has constant column sums only for the trivial group"
         )
     if j % 2 == 0:
-        block = build_group_kotzig_2(spec)
-        rows = block.rows * (j // 2)
-        return _checked(GroupKotzigArray(spec, rows))
+        return _checked(GroupKotzigArray(spec, _rows_2(spec) * (j // 2)))
     if not in_class_g(spec):
         raise NonexistenceError(
             f"{spec} has exactly one involution: an odd row count would make "
             "the grid total equal that involution, not the identity"
         )
-    rows = build_group_kotzig_3(spec).rows
-    if j > 3:
-        rows = rows + build_group_kotzig_2(spec).rows * ((j - 3) // 2)
+    rows = _rows_3(spec) + (_rows_2(spec) * ((j - 3) // 2) if j > 3 else ())
     return _checked(GroupKotzigArray(spec, rows))
 
 
@@ -192,11 +196,11 @@ def array_to_text(array) -> str:
     if isinstance(array, GroupKotzigArray):
         lines = [f"kotzig {array.spec} j={array.j} k={array.k}"]
         for row in array.rows:
-            lines.append(" ".join(format_element(e) for e in row))
+            lines.append(" ".join(map(format_element, row)))
     else:
         lines = [f"kotzig-int k={array.k} j={array.j}"]
         for row in array.rows:
-            lines.append(" ".join(str(v) for v in row))
+            lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -210,10 +214,7 @@ def array_from_text(text: str):
         array = GroupKotzigArray(spec, tuple(parse_blocks(lines[1:], spec)))
     elif header[:1] == ["kotzig-int"] and len(header) == 3:
         fields = header_fields(header[1:], ints=("j", "k"))
-        try:
-            rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
-        except ValueError as exc:
-            raise GroupSpecError(f"bad integer array row: {exc}") from exc
+        rows = tuple(tuple(parse_ints(ln.split())) for ln in lines[1:])
         array = IntKotzigArray(fields["k"], rows)
     else:
         raise GroupSpecError("not a Kotzig array certificate")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mod
 
 from .errors import GroupSpecError, ParameterError
 from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verify_labeling
@@ -273,10 +274,7 @@ def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
             True, True, 0, GroupKotzigArray(spec, (tuple(elems),))
         )
     # the grid total is j * (sum of all elements) and also k * mu = identity
-    total = spec.identity()
-    for _ in range(j):
-        total = spec.add(total, sum_all(spec))
-    if total != spec.identity():
+    if spec.scale(j, sum_all(spec)) != spec.identity():
         return SearchReport(False, True, 0)
     tracker = _Budget(budget)
     grid = [[-1] * k for _ in range(j)]
@@ -453,8 +451,11 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
 
 def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     """Check a partition of the nonidentity elements into zero-sum blocks
-    with the given multiset of sizes."""
-    blocks = tuple(tuple(spec.reduce(e) for e in block) for block in blocks)
+    with the given multiset of sizes.
+
+    Blocks hold reduced elements, as ``sized_partition_from_text`` and the
+    search return them; anything else is not in the universe.
+    """
     if Counter(len(b) for b in blocks) != Counter(sizes):
         return PartitionCheck(False, None, "block sizes do not match")
     universe = {e for e in spec.elements() if e != spec.identity()}
@@ -471,9 +472,8 @@ def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     if seen != universe:
         return PartitionCheck(False, None, "blocks do not cover the nonidentity elements")
     for i, block in enumerate(blocks):
-        total = spec.sum(block)
-        if total != spec.identity():
-            return PartitionCheck(False, i, f"block {i} sums to {format_element(total)}")
+        if any(map(mod, map(sum, zip(*block)), spec.factors)):
+            return PartitionCheck(False, i, f"block {i} sums to {format_element(spec.sum(block))}")
     return PartitionCheck(True)
 
 

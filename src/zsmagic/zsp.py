@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mod
 
 from .errors import (
     ArityError,
@@ -85,10 +86,13 @@ class ZeroSumPartition:
 
     @classmethod
     def from_blocks(cls, spec: GroupSpec, m: int, blocks) -> "ZeroSumPartition":
-        normalized = tuple(
-            sorted(tuple(sorted(spec.reduce(e) for e in block)) for block in blocks)
-        )
-        return cls(spec, m, normalized)
+        """Reduce every element, then sort each block and the block list."""
+        return cls._sorted(spec, m, ([spec.reduce(e) for e in block] for block in blocks))
+
+    @classmethod
+    def _sorted(cls, spec: GroupSpec, m: int, blocks) -> "ZeroSumPartition":
+        """Blocks of already reduced elements, sorted as ``from_blocks`` sorts them."""
+        return cls(spec, m, tuple(sorted(tuple(sorted(block)) for block in blocks)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCh
     """Check cover, disjointness, block sizes and zero sums.
 
     ``universe`` defaults to the whole group.  Rejection is a result, not
-    an error; the first violating block index is reported.
+    an error; the first violating block index is reported.  Raw blocks
+    are reduced here; a ``ZeroSumPartition`` holds reduced elements.
     """
     if isinstance(partition, ZeroSumPartition):
         blocks = partition.blocks
@@ -142,27 +147,33 @@ def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCh
     if seen != universe_set:
         return PartitionCheck(False, None, "blocks do not cover the universe")
     for i, block in enumerate(blocks):
-        total = spec.sum(block)
-        if total != spec.identity():
+        # every element is a reduced member of the universe by now
+        if any(map(mod, map(sum, zip(*block)), spec.factors)):
             return PartitionCheck(
-                False, i, f"block {i} sums to {format_element(total)}"
+                False, i, f"block {i} sums to {format_element(spec.sum(block))}"
             )
     return PartitionCheck(True)
 
 
 def verify_triple_bijection(tb: TripleBijection) -> BijectionCheck:
-    """Check that phi and psi are permutations with zero column sums."""
+    """Check that phi and psi are permutations with zero column sums,
+    one coordinate at a time; the first failing column is reported."""
     n = tb.spec.order
     for name, perm in (("phi", tb.phi), ("psi", tb.psi)):
         if len(perm) != n or set(perm) != set(range(n)):
             return BijectionCheck(False, None, f"{name} is not a permutation")
     elems = tb.spec.elements()
-    for i, g in enumerate(elems):
-        total = tb.spec.sum((g, elems[tb.phi[i]], elems[tb.psi[i]]))
-        if total != tb.spec.identity():
-            return BijectionCheck(
-                False, i, f"column at {format_element(g)} sums to {format_element(total)}"
-            )
+    phi, psi = tb.phi, tb.psi
+    first = n
+    for t, f in enumerate(tb.spec.factors):
+        col = [g[t] for g in elems]
+        first = next((i for i in range(first) if (col[i] + col[phi[i]] + col[psi[i]]) % f), first)
+    if first < n:
+        g = elems[first]
+        total = tb.spec.sum((g, elems[phi[first]], elems[psi[first]]))
+        return BijectionCheck(
+            False, first, f"column at {format_element(g)} sums to {format_element(total)}"
+        )
     return BijectionCheck(True)
 
 
@@ -196,7 +207,7 @@ def involution_quadruples(spec: GroupSpec) -> ZeroSumPartition:
         top = gens[0]
         return sub + [tuple(spec.add(top, e) for e in blk) for blk in sub]
 
-    return ZeroSumPartition.from_blocks(spec, 4, doubled_blocks(basis))
+    return ZeroSumPartition._sorted(spec, 4, doubled_blocks(basis))
 
 
 # -- triple bijections: seed tables ---------------------------------------------
@@ -299,12 +310,8 @@ def _tb_from_maps(spec: GroupSpec, phi: dict, psi: dict) -> TripleBijection:
 
 
 def _odd_order_maps(spec: GroupSpec) -> tuple[dict, dict]:
-    phi = {}
-    psi = {}
-    for g in spec.elements():
-        phi[g] = g
-        psi[g] = spec.scale(-2, g)
-    return phi, psi
+    elems = spec.elements()
+    return {g: g for g in elems}, {g: spec.scale(-2, g) for g in elems}
 
 
 def _table_maps(spec: GroupSpec) -> tuple[dict, dict]:
@@ -323,13 +330,11 @@ def _table_maps(spec: GroupSpec) -> tuple[dict, dict]:
             out[sigma[j]] = g[j]
         return tuple(out)
 
-    phi = {}
-    psi = {}
-    for g in spec.elements():
-        t = permute(g)
-        phi[g] = unpermute(tphi[t])
-        psi[g] = unpermute(tpsi[t])
-    return phi, psi
+    elems = spec.elements()
+    return (
+        {g: unpermute(tphi[permute(g)]) for g in elems},
+        {g: unpermute(tpsi[permute(g)]) for g in elems},
+    )
 
 
 def _product_maps(spec: GroupSpec, pos_a, pos_b) -> tuple[dict, dict]:
@@ -535,15 +540,9 @@ def _two_factor_maps(spec: GroupSpec) -> tuple[dict, dict]:
     lo, hi = sorted(range(2), key=lambda i: (spec.factors[i], i))
     sorted_spec = GroupSpec((spec.factors[lo], spec.factors[hi]))
     phi_sorted = _two_factor_phi(sorted_spec)
-    phi = {}
-    psi = {}
-    for g in spec.elements():
-        p_sorted = phi_sorted[(g[lo], g[hi])]
-        p = [0, 0]
-        p[lo], p[hi] = p_sorted
-        phi[g] = tuple(p)
-        psi[g] = spec.neg(spec.add(g, phi[g]))
-    return phi, psi
+    step = 1 if lo == 0 else -1  # reverses the coordinates when the larger factor comes first
+    phi = {g: phi_sorted[g[::step]][::step] for g in spec.elements()}
+    return phi, {g: spec.neg(spec.add(g, p)) for g, p in phi.items()}
 
 
 def _ladder_maps(spec: GroupSpec) -> tuple[dict, dict]:
@@ -584,19 +583,13 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
             "involution and no triple bijection exists"
         )
     if spec.order % 2 == 1:
-        phi, psi = _odd_order_maps(spec)
-        return _tb_from_maps(spec, phi, psi)
+        return _tb_from_maps(spec, *_odd_order_maps(spec))
     ref = prime_power_refinement(spec)
-    if ref.refined.factors == spec.factors:
-        phi, psi = _ladder_maps(spec)
-        return _tb_from_maps(spec, phi, psi)
-    phi_r, psi_r = _ladder_maps(ref.refined)
-    phi = {}
-    psi = {}
-    for g in spec.elements():
-        r = ref.to_refined(g)
-        phi[g] = ref.from_refined(phi_r[r])
-        psi[g] = ref.from_refined(psi_r[r])
+    phi, psi = _ladder_maps(ref.refined)
+    if ref.refined != spec:
+        back = {r: ref.from_refined(r) for r in phi}
+        phi = {back[r]: back[v] for r, v in phi.items()}
+        psi = {back[r]: back[v] for r, v in psi.items()}
     return _tb_from_maps(spec, phi, psi)
 
 
@@ -656,7 +649,7 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
             pi += 1
             cap -= 2
         blocks.append(block)
-    partition = ZeroSumPartition.from_blocks(spec, m2, blocks)
+    partition = ZeroSumPartition._sorted(spec, m2, blocks)
     check = verify_zsp(spec, partition, m2)
     if not check.ok:
         raise AssertionError(f"internal: assembled partition failed: {check.reason}")
@@ -689,11 +682,7 @@ def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
         [tuple((a + c * x) % f for a, x, f in zip(rep, h, factors)) for rep, c in zip(reps, coeffs)]
         for h in product(*(range(0, f, d) for f, d in zip(factors, steps)))
     ]
-    partition = ZeroSumPartition.from_blocks(spec, m, blocks)
-    check = verify_zsp(spec, partition, m)
-    if not check.ok:
-        raise AssertionError(f"internal: coset lift failed: {check.reason}")
-    return partition
+    return ZeroSumPartition._sorted(spec, m, blocks)
 
 
 def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
@@ -704,7 +693,7 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     partitioned first and every block is lifted once per 2-part element
     ``w``, with first coordinates phi(w), psi(w) and m-2 copies of the
     preimage of w under w -> (m-2)w, so each lifted block still sums to
-    the identity.
+    the identity.  The partition returned is verified once.
     """
     if m % 2 != 1 or m < 3:
         raise ParameterError(f"block size must be odd and >= 3, got {m}")
@@ -716,27 +705,26 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
             "involution, so no zero-sum partition exists"
         )
     if spec.order % 2 == 1:
-        return _odd_base_partition(spec, m)
-    split = two_part_split(spec)
-    two_spec = split.two_spec
-    odd_spec = split.odd_spec
-    lam_partition = _odd_base_partition(odd_spec, m)
-    tb = triple_bijection(two_spec)
-    exponent = math.lcm(*two_spec.factors)
-    shrink = pow(m - 2, -1, exponent)
-    blocks = []
-    for w in two_spec.elements():
-        phi_w = tb.phi_of(w)
-        psi_w = tb.psi_of(w)
-        gamma_inv_w = two_spec.scale(shrink, w)
-        for block in lam_partition.blocks:
-            lifted = [split.merge(phi_w, block[0]), split.merge(psi_w, block[1])]
-            lifted.extend(split.merge(gamma_inv_w, a) for a in block[2:])
-            blocks.append(lifted)
-    partition = ZeroSumPartition.from_blocks(spec, m, blocks)
+        partition = _odd_base_partition(spec, m)
+    else:
+        split = two_part_split(spec)
+        two_spec = split.two_spec
+        lam_partition = _odd_base_partition(split.odd_spec, m)
+        tb = triple_bijection(two_spec)
+        shrink = pow(m - 2, -1, math.lcm(*two_spec.factors))
+        two_elems = two_spec.elements()
+        blocks = []
+        for w, p, q in zip(two_elems, tb.phi, tb.psi):
+            phi_w, psi_w = two_elems[p], two_elems[q]
+            gamma_inv_w = two_spec.scale(shrink, w)
+            for block in lam_partition.blocks:
+                lifted = [split.merge(phi_w, block[0]), split.merge(psi_w, block[1])]
+                lifted.extend(split.merge(gamma_inv_w, a) for a in block[2:])
+                blocks.append(lifted)
+        partition = ZeroSumPartition._sorted(spec, m, blocks)
     check = verify_zsp(spec, partition, m)
     if not check.ok:
-        raise AssertionError(f"internal: lifted partition failed: {check.reason}")
+        raise AssertionError(f"internal: odd-size partition failed: {check.reason}")
     return partition
 
 
@@ -755,15 +743,6 @@ def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:
             "no partition into zero-sum blocks of size 2 exists: the identity "
             "has no distinct zero-sum partner"
         )
-    if spec.order % m != 0:
-        raise DivisibilityError(f"{m} does not divide group order {spec.order}")
-    if spec.order % 2 == 1:
-        return _odd_base_partition(spec, m)
-    if not in_class_g(spec):
-        raise NonexistenceError(
-            f"{spec} has exactly one involution; its element sum is the "
-            "involution, so no zero-sum partition exists"
-        )
     if m % 2 == 0:
         return zsp_even(spec, m)
     return zsp_odd(spec, m)
@@ -773,7 +752,7 @@ def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:
 
 
 def format_blocks(blocks) -> list[str]:
-    return [" ".join(format_element(e) for e in block) for block in blocks]
+    return [" ".join(map(format_element, block)) for block in blocks]
 
 
 def parse_blocks(lines, spec: GroupSpec) -> list[tuple[Element, ...]]:
@@ -804,8 +783,7 @@ def partition_from_text(text: str) -> ZeroSumPartition:
         raise GroupSpecError(f"bad partition header {lines[0]!r}")
     spec = parse_group_spec(header[1])
     m = header_fields(header[2:], ints=("m",))["m"]
-    blocks = parse_blocks(lines[1:], spec)
-    return ZeroSumPartition.from_blocks(spec, m, blocks)
+    return ZeroSumPartition._sorted(spec, m, parse_blocks(lines[1:], spec))
 
 
 def bijection_to_text(tb: TripleBijection) -> str:
@@ -822,18 +800,17 @@ def bijection_from_text(text: str) -> TripleBijection:
         raise GroupSpecError("not a bijection certificate")
     spec = parse_group_spec(header[1])
     n = spec.order
-    phi = [-1] * n
-    psi = [-1] * n
     if len(lines) - 1 != n:
         raise GroupSpecError(f"expected {n} rows, found {len(lines) - 1}")
+    phi = [-1] * n
+    psi = [-1] * n
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise GroupSpecError(f"bad bijection row {line!r}")
-        g, p, q = (spec.reduce(parse_element(x)) for x in parts)
-        i = spec.index_of(g)
-        phi[i] = spec.index_of(p)
-        psi[i] = spec.index_of(q)
+        g, p, q = (spec.index_of(parse_element(x)) for x in parts)
+        phi[g] = p
+        psi[g] = q
     if -1 in phi:
         raise GroupSpecError("bijection rows do not cover the group")
     return TripleBijection(spec, tuple(phi), tuple(psi))

@@ -13,6 +13,7 @@ from zsmagic.cli import (
 )
 
 K4_GRAPH = "p 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
+P3_GRAPH = "p 3\ne 0 1\ne 1 2\n"
 Z2Z6_ARRAY = array_to_text(build_group_kotzig(parse_group_spec("Z2xZ6"), 3))
 
 
@@ -197,6 +198,9 @@ class TestVerifyExitCodes:
             pytest.param(
                 "report kind=bogus found=true exhausted=true nodes=1\n", EXIT_INVALID, id="unknown-report-kind"
             ),
+            pytest.param("labeling Z3\nx\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-vertex-not-integer"),
+            pytest.param("labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-header-too-long"),
+            pytest.param("labeling\n0\t1\n", EXIT_INVALID, id="labeling-header-too-short"),
         ],
     )
     def test_table(self, capsys, tmp_path, text, code):
@@ -206,5 +210,26 @@ class TestVerifyExitCodes:
         assert got == code
         if code == EXIT_INVALID:
             assert err.startswith("error (invalid-input)") and "Traceback" not in err
+            assert "invalid literal" not in err  # a GroupSpecError, not int()'s ValueError
         else:
             assert out.startswith("accept")
+
+    @pytest.mark.parametrize(
+        "graph, code",
+        [
+            pytest.param(P3_GRAPH, EXIT_REJECT, id="valid-graph"),
+            pytest.param("p x\ne 0 1\ne 1 2\n", EXIT_INVALID, id="graph-count-not-integer"),
+            pytest.param("p 3\ne 0 y\ne 1 2\n", EXIT_INVALID, id="graph-edge-not-integer"),
+        ],
+    )
+    def test_graph_table(self, capsys, tmp_path, graph, code):
+        cert = tmp_path / "c.cert"
+        cert.write_text("labeling Z3\n0\t0\n1\t1\n2\t2\n")
+        graph_file = tmp_path / "g.graph"
+        graph_file.write_text(graph)
+        got, out, err = run(capsys, "verify", str(cert), "--graph", str(graph_file))
+        assert got == code
+        if code == EXIT_INVALID:
+            assert err.startswith("error (invalid-input)") and "invalid literal" not in err
+        else:
+            assert out.startswith("reject")

@@ -79,6 +79,69 @@ class TestArithmetic:
         assert spec.scale(3, a) == spec.add(a, spec.add(a, a))
 
 
+def _raw_elements(spec, min_size=0, max_size=None):
+    """Integer sequences of the right arity, unreduced: negative and large too."""
+    coord = st.integers(-(10**12), 10**12) | st.integers(-40, 40)
+    element = st.tuples(*[coord] * spec.arity)
+    if max_size is None:
+        return element
+    return st.lists(element, min_size=min_size, max_size=max_size)
+
+
+class TestArithmeticAgainstReference:
+    """The arithmetic methods against the plain formula tuple(int(...) % f)."""
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_binary_and_unary(self, data):
+        spec = data.draw(group_specs(max_order=10**12, max_factors=4, max_factor=1000))
+        a = data.draw(_raw_elements(spec))
+        b = data.draw(_raw_elements(spec))
+        k = data.draw(st.integers(-(10**6), 10**6))
+        fs = spec.factors
+        assert spec.add(a, b) == tuple((int(x) + int(y)) % f for x, y, f in zip(a, b, fs))
+        assert spec.sub(a, b) == tuple((int(x) - int(y)) % f for x, y, f in zip(a, b, fs))
+        assert spec.neg(a) == tuple(-int(x) % f for x, f in zip(a, fs))
+        assert spec.scale(k, a) == tuple(k * int(x) % f for x, f in zip(a, fs))
+        assert spec.reduce(a) == tuple(int(x) % f for x, f in zip(a, fs))
+        index = 0
+        for x, f in zip(a, fs):
+            index = index * f + int(x) % f
+        assert spec.index_of(a) == index
+        assert spec.element_at(spec.index_of(a)) == spec.reduce(a)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_sum(self, data):
+        spec = data.draw(group_specs(max_order=10**12, max_factors=4, max_factor=1000))
+        elems = data.draw(_raw_elements(spec, 0, 12))
+        expected = tuple(sum(int(e[t]) for e in elems) % f for t, f in enumerate(spec.factors))
+        assert spec.sum(elems) == expected
+        assert spec.sum(iter(elems)) == expected
+        assert spec.sum(list(map(list, elems))) == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, bad, ok: g.reduce(bad),
+            lambda g, bad, ok: g.add(bad, ok),
+            lambda g, bad, ok: g.add(ok, bad),
+            lambda g, bad, ok: g.sub(bad, ok),
+            lambda g, bad, ok: g.sub(ok, bad),
+            lambda g, bad, ok: g.neg(bad),
+            lambda g, bad, ok: g.scale(3, bad),
+            lambda g, bad, ok: g.sum([ok, bad, ok]),
+            lambda g, bad, ok: g.index_of(bad),
+        ],
+        ids=["reduce", "add-left", "add-right", "sub-left", "sub-right", "neg", "scale", "sum", "index_of"],
+    )
+    @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), ()])
+    def test_wrong_arity_raises(self, call, bad):
+        spec = GroupSpec((4, 6))
+        with pytest.raises(ArityError):
+            call(spec, bad, (1, 1))
+
+
 class TestEnumeration:
     def test_z2z2_order(self):
         assert GroupSpec((2, 2)).elements() == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,15 @@ from zsmagic import (
     triple_bijection,
     zsp,
 )
-from zsmagic.oracle import report_from_text, report_to_text, search_triple_bijection
+from zsmagic.errors import ZsmagicError
+from zsmagic.oracle import (
+    conjecture_scan,
+    report_from_text,
+    report_to_text,
+    search_triple_bijection,
+    sized_partition_from_text,
+    sized_partition_to_text,
+)
 
 
 class TestPartitionText:
@@ -91,6 +101,11 @@ class TestGraphText:
         with pytest.raises(GroupSpecError, match="line 2"):
             graph_from_text("p 3\nx 1 2\n")
 
+    @pytest.mark.parametrize("text", ["p x\n", "p 3\ne 0 y\n", "p 3\ne 0.5 1\n"])
+    def test_non_integer_is_group_spec_error(self, text):
+        with pytest.raises(GroupSpecError):
+            graph_from_text(text)
+
     def test_edge_before_header(self):
         with pytest.raises(GroupSpecError):
             graph_from_text("e 0 1\np 2\n")
@@ -102,6 +117,15 @@ class TestLabelingText:
         lab = blowup_label(complete_graph(4), 3, spec)
         text = labeling_to_text(lab)
         assert labeling_from_text(text) == lab
+
+    @pytest.mark.parametrize(
+        "text",
+        ["labeling Z3\nx\t1\n1\t0\n2\t2\n", "labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", "labeling \n0\t0\n"],
+        ids=["vertex-not-integer", "header-too-long", "header-too-short"],
+    )
+    def test_malformed_is_group_spec_error(self, text):
+        with pytest.raises(GroupSpecError):
+            labeling_from_text(text)
 
     def test_missing_vertex_rejected(self):
         spec = GroupSpec((3,))
@@ -127,3 +151,105 @@ class TestReportText:
         assert kind == "bijection"
         assert not parsed.found and parsed.exhausted
         assert parsed.witness is None
+
+
+def _pinned_texts():
+    spec = parse_group_spec
+    return {
+        "bijection-Z4xZ8xZ32": lambda: bijection_to_text(triple_bijection(spec("Z4xZ8xZ32"))),
+        "kotzig-Z2xZ6xZ24-j5": lambda: array_to_text(build_group_kotzig(spec("Z2xZ6xZ24"), 5)),
+        "kotzig-int-3x15": lambda: array_to_text(build_int_kotzig(3, 15)),
+        "zsp-Z2xZ2xZ4xZ4xZ15-m3": lambda: partition_to_text(zsp(spec("Z2xZ2xZ4xZ4xZ15"), 3)),
+        "zsp-Z3xZ15-m5": lambda: partition_to_text(zsp(spec("Z3xZ15"), 5)),
+        "labeling-K4-blowup-Z2xZ2xZ3": lambda: labeling_to_text(
+            blowup_label(complete_graph(4), 3, spec("Z2xZ2xZ3"))
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("bijection-Z4xZ8xZ32", "39933ace400b14b1bd5125a85d8386c37b727381af0b06af3bbb17ccb5a4e0e2"),
+        ("kotzig-Z2xZ6xZ24-j5", "d231f5e04309d1dedb0c8b2a21f3e4ba1204ab122d1ce5796ad78830900edf05"),
+        ("kotzig-int-3x15", "4509c83d44ec8fffbdcefbd74627052c49183300910dee6beff1a20aefbb5c87"),
+        ("zsp-Z2xZ2xZ4xZ4xZ15-m3", "abf608da0bbc69ccf2e0f8d56366bf196cb79e2f39b84bb36cdbb3c55fa8b2b8"),
+        ("zsp-Z3xZ15-m5", "4ca8d5411f7000da76dd1dedca432c9447312df8747a6f9dee9ad86d74619145"),
+        ("labeling-K4-blowup-Z2xZ2xZ3", "8f2de62cf73eae512acc1dab81310e5ee40dcb2d0e349c8b74d9e0dababa72fe"),
+    ],
+)
+def test_pinned_certificates(name, digest):
+    """One certificate per family, byte for byte as the constructors print it."""
+    text = _pinned_texts()[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _fuzz_corpus():
+    """One small valid certificate per parser."""
+    spec = parse_group_spec
+    k4 = complete_graph(4)
+    sized_report = conjecture_scan(spec("Z2xZ2xZ2"), (3, 4))
+    return [
+        (partition_from_text, partition_to_text(zsp(spec("Z2xZ2xZ3"), 4))),
+        (bijection_from_text, bijection_to_text(triple_bijection(spec("Z2xZ4")))),
+        (array_from_text, array_to_text(build_group_kotzig(spec("Z2xZ2"), 3))),
+        (array_from_text, array_to_text(build_int_kotzig(3, 5))),
+        (labeling_from_text, labeling_to_text(blowup_label(k4, 3, spec("Z2xZ2xZ3")))),
+        (graph_from_text, graph_to_text(lex_product(k4, empty_graph(2)))),
+        (sized_partition_from_text, sized_partition_to_text(*sized_report.witness)),
+        (report_from_text, report_to_text(search_zsp(GroupSpec((9,)), 3))),
+        (report_from_text, report_to_text(sized_report, "sized-partition")),
+        (report_from_text, report_to_text(search_triple_bijection(GroupSpec((4,))), "bijection")),
+    ]
+
+
+FUZZ_CORPUS = _fuzz_corpus()
+# tokens that are not in any certificate but look like parts of one
+FUZZ_EXTRA = ["x", "-1", "()", "(1,2", "1)", "Z0", "Z2xQ8", "m=", "j=x", "=", "k=-3", "found=true", "e", "p"]
+
+
+@st.composite
+def _edited_certificate(draw):
+    parse, text = draw(st.sampled_from(FUZZ_CORPUS))
+    lines = [ln.split() for ln in text.splitlines()]
+    seps = ["\t" if "\t" in ln else " " for ln in text.splitlines()]
+    pool = sorted({tok for ln in lines for tok in ln}) + FUZZ_EXTRA
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[row]
+        pos = draw(st.integers(0, len(tokens)))
+        op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if op == "delete" and pos < len(tokens):
+            del tokens[pos]
+        elif op == "duplicate" and pos < len(tokens):
+            tokens.insert(pos, tokens[pos])
+        else:
+            tokens[pos:pos + 1] = [draw(st.sampled_from(pool))]
+    return parse, "\n".join(sep.join(ln) for sep, ln in zip(seps, lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [(bijection_from_text, "bijection Z1000000000000000\n0 0 0\n"), (labeling_from_text, "labeling Z1000000000000000\n0\t0\n")],
+    ids=["bijection", "labeling"],
+)
+def test_huge_header_refused_before_allocating(parse, text):
+    """The row count is held against the header before any per-element table is built."""
+    with pytest.raises(GroupSpecError, match="expected"):
+        parse(text)
+
+
+class TestParserFuzz:
+    @pytest.mark.parametrize("parse, text", FUZZ_CORPUS)
+    def test_corpus_parses(self, parse, text):
+        parse(text)
+
+    @given(_edited_certificate())
+    @settings(max_examples=400, deadline=None)
+    def test_edited_certificates(self, case):
+        """Every parser returns an object or raises a ZsmagicError, nothing else."""
+        parse, text = case
+        try:
+            parse(text)
+        except ZsmagicError:
+            pass

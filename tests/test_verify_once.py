@@ -1,0 +1,79 @@
+"""Each built artifact is verified exactly once: by its constructor, not again
+by the constructor it calls nor by the CLI handler that prints it."""
+
+import importlib
+
+import pytest
+
+from zsmagic import build_group_kotzig, build_int_kotzig, parse_group_spec, zsp
+from zsmagic.cli import main
+
+zsp_module = importlib.import_module("zsmagic.zsp")  # the package's ``zsp`` is the function
+kotzig_module = importlib.import_module("zsmagic.kotzig")
+cli_module = importlib.import_module("zsmagic.cli")
+
+
+@pytest.fixture
+def zsp_calls(monkeypatch):
+    """Group orders of every ``verify_zsp`` call, through any import of it."""
+    orders = []
+    original = zsp_module.verify_zsp
+
+    def counting(spec, partition, m, universe=None):
+        orders.append(spec.order)
+        return original(spec, partition, m, universe)
+
+    monkeypatch.setattr(zsp_module, "verify_zsp", counting)
+    monkeypatch.setattr(cli_module, "verify_zsp", counting)
+    return orders
+
+
+@pytest.fixture
+def kotzig_calls(monkeypatch):
+    calls = []
+    original = kotzig_module.verify_kotzig
+
+    def counting(array):
+        calls.append((array.j, array.k))
+        return original(array)
+
+    monkeypatch.setattr(kotzig_module, "verify_kotzig", counting)
+    return calls
+
+
+def test_zsp_odd_lift_verifies_once(zsp_calls):
+    zsp(parse_group_spec("Z2xZ2xZ4xZ4xZ15"), 3)
+    assert zsp_calls == [960]
+
+
+@pytest.mark.parametrize("group, m", [("Z3xZ15", 5), ("Z2xZ6xZ48", 6), ("Z2xZ2xZ4xZ4", 4)])
+def test_zsp_verifies_once(zsp_calls, group, m):
+    spec = parse_group_spec(group)
+    zsp(spec, m)
+    assert zsp_calls == [spec.order]
+
+
+def test_group_kotzig_verifies_once(kotzig_calls):
+    build_group_kotzig(parse_group_spec("Z2xZ6xZ24"), 7)
+    assert kotzig_calls == [(7, 288)]
+
+
+@pytest.mark.parametrize(
+    "argv, counter, expected",
+    [
+        (["zsp", "Z2xZ2xZ4xZ4xZ15", "3"], "zsp", [960]),
+        (["--json", "zsp", "Z3xZ15", "5"], "zsp", [45]),
+        (["kotzig", "Z2xZ6xZ24", "7"], "kotzig", [(7, 288)]),
+        (["--json", "kotzig", "15", "3", "--int"], "kotzig", [(3, 15)]),
+    ],
+)
+def test_cli_adds_no_verification(capsys, zsp_calls, kotzig_calls, argv, counter, expected):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert ('"verified":true' in out) if argv[0] == "--json" else out.endswith("# verified: accept\n")
+    assert (zsp_calls if counter == "zsp" else kotzig_calls) == expected
+
+
+def test_int_kotzig_verifies_once(kotzig_calls):
+    build_int_kotzig(5, 21)
+    assert kotzig_calls == [(5, 21)]
