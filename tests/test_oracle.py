@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from zsmagic import (
@@ -12,6 +14,8 @@ from zsmagic import (
     cycle_graph,
     in_class_g,
     involutions,
+    parse_group_spec,
+    report_to_text,
     scan_conjecture,
     search_kotzig,
     search_labeling,
@@ -24,8 +28,12 @@ from zsmagic import (
     verify_zsp,
     zsp,
 )
-from zsmagic.graphs import Graph
+from zsmagic import oracle
+from zsmagic.graphs import Graph, Verdict
+from zsmagic.kotzig import ArrayCheck
 from zsmagic.groups import abelian_groups_up_to
+from zsmagic.oracle import DEFAULT_BUDGET, KOTZIG_CELL_CAP
+from zsmagic.zsp import BijectionCheck, PartitionCheck
 
 
 class TestSearchZsp:
@@ -200,3 +208,117 @@ class TestAgreement:
             assert not search_zsp(spec, 2).found
             with pytest.raises(ImpossibilityError):
                 zsp(spec, 2)
+
+
+class TestReverification:
+    """A found witness goes through its owning verifier before it is reported."""
+
+    @pytest.mark.parametrize(
+        "verifier, rejection, search",
+        [
+            pytest.param(
+                "verify_zsp", PartitionCheck(False, 0, "rejected"),
+                lambda: search_zsp(GroupSpec((9,)), 3), id="zsp",
+            ),
+            pytest.param(
+                "verify_triple_bijection", BijectionCheck(False, 0, "rejected"),
+                lambda: search_triple_bijection(GroupSpec((2, 2))), id="bijection",
+            ),
+            pytest.param(
+                "verify_kotzig", ArrayCheck(False, 0, 0, "rejected"),
+                lambda: search_kotzig(GroupSpec((2, 2)), 3), id="kotzig",
+            ),
+            pytest.param(
+                "verify_kotzig", ArrayCheck(False, 0, 0, "rejected"),
+                lambda: search_kotzig(3, 3), id="kotzig-int",
+            ),
+            pytest.param(
+                "verify_labeling", Verdict("not-magic", None, (0, 1)),
+                lambda: search_labeling(cycle_graph(4), GroupSpec((4,))), id="labeling",
+            ),
+            pytest.param(
+                "verify_sized_partition", PartitionCheck(False, 0, "rejected"),
+                lambda: conjecture_scan(GroupSpec((2, 2, 3)), (3, 4, 4)), id="sized-partition",
+            ),
+        ],
+    )
+    def test_rejected_witness_raises(self, monkeypatch, verifier, rejection, search):
+        assert search().found
+        monkeypatch.setattr(oracle, verifier, lambda *args: rejection)
+        with pytest.raises(AssertionError, match="re-verification"):
+            search()
+
+
+# -- pinned reports ----------------------------------------------------------------
+#
+# Every report text (witness and node count) of a sweep over all the search
+# entry points, full and budget-truncated, recorded before the searches were
+# merged into shared kernels.  Non-canonical presentations change the element
+# enumeration and with it the least witness and the node counts.
+
+_PRESENTATIONS = ("Z6xZ2", "Z3xZ2xZ2", "Z2xZ10", "Z4xZ6", "Z2xZ2xZ6", "Z8xZ2", "Z4xZ2xZ2")
+
+
+def _zsp_reports():
+    specs = [*abelian_groups_up_to(24), *map(parse_group_spec, _PRESENTATIONS)]
+    for spec in specs:
+        for m in range(1, spec.order + 1):
+            if spec.order % m == 0:
+                for budget in (1, 2, 3, 5, 50, DEFAULT_BUDGET):
+                    yield report_to_text(search_zsp(spec, m, budget), "zsp")
+
+
+def _scan_reports():
+    for budget, max_order in ((DEFAULT_BUDGET, 24), (1, 16), (2, 16), (3, 16), (7, 16), (20, 16)):
+        for _spec, _sizes, report in scan_conjecture(max_order, budget):
+            yield report_to_text(report, "sized-partition")
+
+
+def _kotzig_reports():
+    targets = [*abelian_groups_up_to(24), *map(parse_group_spec, _PRESENTATIONS[:2]), *range(1, 25)]
+    for target in targets:
+        kind = "kotzig-int" if isinstance(target, int) else "kotzig"
+        k = target if isinstance(target, int) else target.order
+        for j in range(1, KOTZIG_CELL_CAP // k + 1):
+            for budget in (2, 50, DEFAULT_BUDGET):
+                yield report_to_text(search_kotzig(target, j, budget), kind)
+
+
+def _bijection_reports():
+    for spec in abelian_groups_up_to(10, min_order=1):
+        for budget in (1, 3, 10, DEFAULT_BUDGET):
+            yield report_to_text(search_triple_bijection(spec, budget), "bijection")
+
+
+def _labeling_reports():
+    graphs = [(cycle_graph(n), n <= 8) for n in range(3, 11)]
+    graphs += [(complete_graph(n), n <= 7) for n in range(1, 11)]
+    for g, full in graphs:
+        for spec in abelian_groups_up_to(g.n, min_order=g.n):
+            for budget in (1, 5, 2000) + ((DEFAULT_BUDGET,) if full else ()):
+                yield report_to_text(search_labeling(g, spec, budget), "labeling")
+
+
+_SWEEPS = {
+    "zsp": _zsp_reports,
+    "scan": _scan_reports,
+    "kotzig": _kotzig_reports,
+    "bijection": _bijection_reports,
+    "labeling": _labeling_reports,
+}
+
+
+@pytest.mark.parametrize(
+    "name, count, digest",
+    [
+        ("zsp", 1170, "60c8c25c9007598e3756028bcafd5f7d3be2b8447a25da2ef37f30de6de59d95"),
+        ("scan", 689, "fed8655840dddd4fa75b85924c36b92cf04cd32d31e9b5a5db92ab00c74d5abc"),
+        ("kotzig", 1083, "20ac08719a9c80e9ba68ccb540ef033c0b88cd4b0818e79f058500bebc25f28a"),
+        ("bijection", 56, "5cc26cdd06ace039010d435d4452787dd36678953ccf426c97114b48e2510072"),
+        ("labeling", 95, "a29d128b6d53f6b65a6ac28547c9998b0480545f449808005eac79e12399edd0"),
+    ],
+)
+def test_pinned_reports(name, count, digest):
+    texts = list(_SWEEPS[name]())
+    assert len(texts) == count
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
