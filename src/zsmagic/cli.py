@@ -221,7 +221,20 @@ def _report_exit(report) -> int:
     return EXIT_NONEXISTENT if report.exhausted else EXIT_BUDGET
 
 
+_SEARCH_ARGS = {
+    "zsp": ("group", "m"),
+    "bijection": ("group",),
+    "kotzig": ("target", "j"),
+    "labeling": ("graphfile", "group"),
+}
+
+
 def _handle_search(args):
+    expected = _SEARCH_ARGS[args.kind]
+    if len(args.args) != len(expected):
+        raise ParameterError(
+            f"search {args.kind} expects {' '.join(expected)}, got {len(args.args)} argument(s)"
+        )
     kind = args.kind
     if args.kind == "zsp":
         spec = parse_group_spec(args.args[0])
@@ -233,12 +246,10 @@ def _handle_search(args):
         target = int(args.args[0]) if args.int_mode else parse_group_spec(args.args[0])
         report = oracle.search_kotzig(target, int(args.args[1]), args.budget)
         kind = "kotzig-int" if args.int_mode else "kotzig"
-    elif args.kind == "labeling":
+    else:
         g = graphs.graph_from_text(Path(args.args[0]).read_text())
         spec = parse_group_spec(args.args[1])
         report = oracle.search_labeling(g, spec, args.budget)
-    else:
-        raise ParameterError(f"unknown search kind {args.kind!r}")
     cert = oracle.report_to_text(report, kind)
     doc = {
         "command": "search",
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_verify)
 
     p = sub.add_parser("search", help="exhaustive search oracles")
-    p.add_argument("kind", choices=("zsp", "bijection", "kotzig", "labeling"))
+    p.add_argument("kind", choices=tuple(_SEARCH_ARGS))
     p.add_argument("args", nargs="+")
     p.add_argument("--int", dest="int_mode", action="store_true")
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)

@@ -7,6 +7,15 @@ completion must satisfy (injectivity, zero sums, column sums and the
 total-sum feasibility check at the root), so ``found=False`` together
 with ``exhausted=True`` is a proof of nonexistence.
 
+Two kernels carry the partition and array searches: the sized-block
+kernel (zero-sum blocks with a given multiset of sizes, run by
+``search_zsp`` and ``conjecture_scan``) and the grid kernel (Kotzig arrays
+filled column by column from a step table and a forced-cell table, run by
+both modes of ``search_kotzig``).  A node is one choice the search commits
+to: an anchor with the size of the block it opens, a free element or a
+forced element; budgets cap nodes.  ``search_zsp`` opens its first block
+on the identity without a choice, so that anchor is not a node.
+
 Witnesses are deterministic: the least solution in the documented search
 order (element enumeration order, grids scanned per column sum then
 column-major, labelings by vertex index).
@@ -76,36 +85,111 @@ class _BudgetExceeded(Exception):
 
 
 class _Budget:
-    __slots__ = ("left", "spent")
+    __slots__ = ("budget", "spent")
 
     def __init__(self, budget: int):
-        self.left = budget
+        self.budget = budget
         self.spent = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        self.spent += amount
-        if self.left < 0:
+    def spend(self) -> None:
+        self.spent += 1
+        if self.spent > self.budget:
             raise _BudgetExceeded
 
 
-def _reverify(report: SearchReport, check) -> SearchReport:
-    if report.found and not check.ok:
-        raise AssertionError(f"internal: search witness failed re-verification: {check.reason}")
-    return report
+def _settle(tracker: _Budget, search, witness_of, check) -> SearchReport:
+    """Run ``search()`` under the budget and report the outcome.
+
+    A found witness is built by ``witness_of()`` and must pass ``check``,
+    its owning verifier; a rejection means the search itself is wrong.
+    """
+    try:
+        found = search()
+    except _BudgetExceeded:
+        return SearchReport(False, False, tracker.spent)
+    if not found:
+        return SearchReport(False, True, tracker.spent)
+    witness = witness_of()
+    verdict = check(witness)
+    if not verdict:
+        raise AssertionError(f"internal: search witness failed re-verification: {verdict}")
+    return SearchReport(True, True, tracker.spent, witness)
 
 
 @lru_cache(maxsize=None)
 def _tables(spec: GroupSpec):
     elems = spec.elements()
     index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
     add = [[index[spec.add(a, b)] for b in elems] for a in elems]
     neg = [index[spec.neg(a)] for a in elems]
     return elems, add, neg
 
 
-# -- zero-sum partition search -------------------------------------------------
+# -- sized-block kernel: zero-sum partitions of equal or unequal sizes -----------
+
+
+def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budget):
+    """Canonical backtracking over zero-sum blocks of the unassigned elements.
+
+    ``close()`` opens the next block on the least unassigned element, trying
+    each size left in the multiset ``sizes`` in ascending order, and
+    succeeds once every element is assigned.  ``extend(block, total, size)``
+    grows the open block in ascending element order; its last element is
+    forced by the zero-sum condition.  Returns ``(blocks, close, extend)``;
+    ``blocks`` holds the closed blocks of the current branch.
+    """
+    n = len(assigned)
+    blocks: list[list[int]] = []
+
+    def close() -> bool:
+        if all(assigned):
+            return True
+        anchor = assigned.index(False)
+        for size in sorted(sizes):
+            if sizes[size] == 0:
+                continue
+            sizes[size] -= 1
+            tracker.spend()
+            assigned[anchor] = True
+            if extend([anchor], anchor, size):
+                return True
+            assigned[anchor] = False
+            sizes[size] += 1
+        return False
+
+    def extend(block: list[int], total: int, size: int) -> bool:
+        if len(block) == size:
+            if total != 0:
+                return False
+            blocks.append(list(block))
+            if close():
+                return True
+            blocks.pop()
+            return False
+        if len(block) == size - 1:
+            forced = neg[total]
+            if forced > block[-1] and not assigned[forced]:
+                tracker.spend()
+                assigned[forced] = True
+                block.append(forced)
+                if extend(block, 0, size):
+                    return True
+                block.pop()
+                assigned[forced] = False
+            return False
+        for i in range(block[-1] + 1, n):
+            if assigned[i]:
+                continue
+            tracker.spend()
+            assigned[i] = True
+            block.append(i)
+            if extend(block, add[total][i], size):
+                return True
+            block.pop()
+            assigned[i] = False
+        return False
+
+    return blocks, close, extend
 
 
 def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -125,67 +209,17 @@ def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchR
         # every full partition sums the whole group into zero blocks
         return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
-    n = len(elems)
     tracker = _Budget(budget)
-    assigned = [False] * n
-    blocks: list[list[int]] = []
-
-    def least_free() -> int:
-        for i in range(n):
-            if not assigned[i]:
-                return i
-        return -1
-
-    def extend(block: list[int], total: int) -> bool:
-        if len(block) == m:
-            if total != 0:
-                return False
-            blocks.append(list(block))
-            anchor = least_free()
-            if anchor < 0:
-                return True
-            tracker.spend()
-            assigned[anchor] = True
-            if extend([anchor], anchor):
-                return True
-            assigned[anchor] = False
-            blocks.pop()
-            return False
-        if len(block) == m - 1:
-            forced = neg[total]
-            if forced > block[-1] and not assigned[forced]:
-                tracker.spend()
-                assigned[forced] = True
-                block.append(forced)
-                if extend(block, 0):
-                    return True
-                block.pop()
-                assigned[forced] = False
-            return False
-        for i in range(block[-1] + 1, n):
-            if assigned[i]:
-                continue
-            tracker.spend()
-            assigned[i] = True
-            block.append(i)
-            if extend(block, add[total][i]):
-                return True
-            block.pop()
-            assigned[i] = False
-        return False
-
-    try:
-        assigned[0] = True
-        found = extend([0], 0)
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    if not found:
-        return SearchReport(False, True, tracker.spent)
-    witness = ZeroSumPartition.from_blocks(
-        spec, m, [[elems[i] for i in blk] for blk in blocks]
+    assigned = [False] * len(elems)
+    assigned[0] = True  # the first block opens on the identity
+    sizes = Counter({m: spec.order // m - 1})
+    blocks, _close, extend = _block_kernel(add, neg, assigned, sizes, tracker)
+    return _settle(
+        tracker,
+        lambda: extend([0], 0, m),
+        lambda: ZeroSumPartition.from_blocks(spec, m, [[elems[i] for i in blk] for blk in blocks]),
+        lambda witness: verify_zsp(spec, witness, m),
     )
-    report = SearchReport(True, True, tracker.spent, witness)
-    return _reverify(report, verify_zsp(spec, witness, m))
 
 
 # -- triple bijection search ----------------------------------------------------
@@ -232,18 +266,15 @@ def search_triple_bijection(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> Se
             used_psi[w] = False
         return False
 
-    try:
-        found = extend(0)
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    if not found:
-        return SearchReport(False, True, tracker.spent)
-    witness = TripleBijection(spec, tuple(phi), tuple(psi))
-    report = SearchReport(True, True, tracker.spent, witness)
-    return _reverify(report, verify_triple_bijection(witness))
+    return _settle(
+        tracker,
+        lambda: extend(0),
+        lambda: TripleBijection(spec, tuple(phi), tuple(psi)),
+        verify_triple_bijection,
+    )
 
 
-# -- Kotzig array search ---------------------------------------------------------
+# -- grid kernel: Kotzig arrays over a group or over 0..k-1 -------------------------
 
 
 def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -261,39 +292,33 @@ def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
     raise ParameterError(f"target must be a GroupSpec or an integer, got {target!r}")
 
 
-def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
-    k = spec.order
-    if j < 1:
-        raise ParameterError(f"row count must be positive, got {j}")
-    if j * k > KOTZIG_CELL_CAP:
-        raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
-    elems, add, neg = _tables(spec)
-    if j == 1:
-        # the single row is a permutation; its columns are all distinct
-        return SearchReport(False, True, 0) if k > 1 else SearchReport(
-            True, True, 0, GroupKotzigArray(spec, (tuple(elems),))
-        )
-    # the grid total is j * (sum of all elements) and also k * mu = identity
-    if spec.scale(j, sum_all(spec)) != spec.identity():
-        return SearchReport(False, True, 0)
-    tracker = _Budget(budget)
-    grid = [[-1] * k for _ in range(j)]
-    grid[0] = list(range(k))
-    used = [[False] * k for _ in range(j)]
+def _search_grid(j: int, k: int, step, forced_tables, witness_of, budget: int) -> SearchReport:
+    """Column-major backtracking over a j x k grid of values 0..k-1.
 
-    def fill(mu: int, c: int, r: int, colsum: int) -> bool:
-        if r == j - 1:
-            forced = add[neg[colsum]][mu]
-            if used[r][forced]:
+    Row 0 is 0..k-1 and every row is a permutation.  A column's running
+    total s becomes ``step[s][v]`` when value v joins it.  Each table in
+    ``forced_tables`` is tried in turn: ``forced[s]`` is the last cell of a
+    column with total s, or -1 when no value completes it.  ``witness_of``
+    turns the filled grid into the array that ``verify_kotzig`` checks.
+    """
+    tracker = _Budget(budget)
+    grid = [list(range(k))] + [[-1] * k for _ in range(j - 1)]
+    used = [[False] * k for _ in range(j)]
+    last = j - 1
+
+    def fill(forced, c: int, r: int, colsum: int) -> bool:
+        if r == last:
+            value = forced[colsum]
+            if value < 0 or used[r][value]:
                 return False
             tracker.spend()
-            grid[r][c] = forced
-            used[r][forced] = True
+            grid[r][c] = value
+            used[r][value] = True
             if c + 1 == k:
                 return True
-            if fill(mu, c + 1, 1, grid[0][c + 1]):
+            if fill(forced, c + 1, 1, grid[0][c + 1]):
                 return True
-            used[r][forced] = False
+            used[r][value] = False
             return False
         for v in range(k):
             if used[r][v]:
@@ -301,25 +326,39 @@ def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
             tracker.spend()
             grid[r][c] = v
             used[r][v] = True
-            if fill(mu, c, r + 1, add[colsum][v]):
+            if fill(forced, c, r + 1, step[colsum][v]):
                 return True
             used[r][v] = False
         return False
 
-    try:
-        for mu in range(k):
-            for row in used[1:]:
-                for i in range(k):
-                    row[i] = False
-            if fill(mu, 0, 1, grid[0][0]):
-                witness = GroupKotzigArray(
-                    spec, tuple(tuple(elems[i] for i in row) for row in grid)
-                )
-                report = SearchReport(True, True, tracker.spent, witness)
-                return _reverify(report, verify_kotzig(witness))
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    return SearchReport(False, True, tracker.spent)
+    return _settle(
+        tracker,
+        # a single row is a permutation, so its columns agree only when k = 1
+        lambda: k == 1 if j == 1 else any(fill(f, 0, 1, grid[0][0]) for f in forced_tables),
+        lambda: witness_of(grid),
+        verify_kotzig,
+    )
+
+
+def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
+    k = spec.order
+    if j < 1:
+        raise ParameterError(f"row count must be positive, got {j}")
+    if j * k > KOTZIG_CELL_CAP:
+        raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
+    # the grid total is j * (sum of all elements) and also k * mu = identity
+    if spec.scale(j, sum_all(spec)) != spec.identity():
+        return SearchReport(False, True, 0)
+    elems, add, neg = _tables(spec)
+    return _search_grid(
+        j,
+        k,
+        add,
+        # one pass per common column sum mu; a column with total s closes on mu - s
+        ([add[neg[s]][mu] for s in range(k)] for mu in range(k)),
+        lambda grid: GroupKotzigArray(spec, tuple(tuple(elems[i] for i in row) for row in grid)),
+        budget,
+    )
 
 
 def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
@@ -327,53 +366,17 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
         raise ParameterError(f"grid dimensions must be positive, got {j} x {k}")
     if j * k > KOTZIG_CELL_CAP:
         raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
-    if j == 1:
-        return SearchReport(False, True, 0) if k > 1 else SearchReport(
-            True, True, 0, IntKotzigArray(1, ((0,),))
-        )
     if (j * (k - 1)) % 2 != 0:
         # the common column sum would be j(k-1)/2, not an integer
         return SearchReport(False, True, 0)
     mu = j * (k - 1) // 2
-    tracker = _Budget(budget)
-    grid = [[-1] * k for _ in range(j)]
-    grid[0] = list(range(k))
-    used = [[False] * k for _ in range(j)]
-
-    def fill(c: int, r: int, colsum: int) -> bool:
-        if r == j - 1:
-            forced = mu - colsum
-            if forced < 0 or forced >= k or used[r][forced]:
-                return False
-            tracker.spend()
-            grid[r][c] = forced
-            used[r][forced] = True
-            if c + 1 == k:
-                return True
-            if fill(c + 1, 1, grid[0][c + 1]):
-                return True
-            used[r][forced] = False
-            return False
-        for v in range(k):
-            if used[r][v]:
-                continue
-            tracker.spend()
-            grid[r][c] = v
-            used[r][v] = True
-            if fill(c, r + 1, colsum + v):
-                return True
-            used[r][v] = False
-        return False
-
-    try:
-        found = fill(0, 1, 0)
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    if not found:
-        return SearchReport(False, True, tracker.spent)
-    witness = IntKotzigArray(k, tuple(tuple(row) for row in grid))
-    report = SearchReport(True, True, tracker.spent, witness)
-    return _reverify(report, verify_kotzig(witness))
+    # a column total never exceeds (j - 1)(k - 1) before its last cell
+    totals = range((j - 1) * (k - 1) + 1)
+    step = [[s + v for v in range(k)] for s in totals]
+    forced = [mu - s if 0 <= mu - s < k else -1 for s in totals]
+    return _search_grid(
+        j, k, step, [forced], lambda grid: IntKotzigArray(k, tuple(map(tuple, grid))), budget
+    )
 
 
 # -- magic labeling search --------------------------------------------------------
@@ -432,18 +435,12 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         return False
 
     mu0 = 0 if ready[0] else None  # empty neighborhoods weigh the identity
-    try:
-        found = extend(0, mu0)
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    if not found:
-        return SearchReport(False, True, tracker.spent)
-    witness = Labeling(spec, tuple(elems[i] for i in labels))
-    report = SearchReport(True, True, tracker.spent, witness)
-    verdict = verify_labeling(g, witness)
-    if not verdict.is_magic:
-        raise AssertionError("internal: search witness failed re-verification")
-    return report
+    return _settle(
+        tracker,
+        lambda: extend(0, mu0),
+        lambda: Labeling(spec, tuple(elems[i] for i in labels)),
+        lambda witness: verify_labeling(g, witness).is_magic,
+    )
 
 
 # -- unequal-size zero-sum partitions (conjecture mode) -----------------------------
@@ -502,76 +499,16 @@ def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> Sea
     if sum_all(spec) != spec.identity():
         return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
-    n = len(elems)
     tracker = _Budget(budget)
-    remaining = Counter(parts)
-    assigned = [False] * n
+    assigned = [False] * len(elems)
     assigned[0] = True  # the identity is excluded from the universe
-    blocks: list[list[int]] = []
-
-    def least_free() -> int:
-        for i in range(1, n):
-            if not assigned[i]:
-                return i
-        return -1
-
-    def close_block() -> bool:
-        anchor = least_free()
-        if anchor < 0:
-            return True
-        for size in sorted(remaining):
-            if remaining[size] == 0:
-                continue
-            remaining[size] -= 1
-            tracker.spend()
-            assigned[anchor] = True
-            if extend([anchor], anchor, size):
-                return True
-            assigned[anchor] = False
-            remaining[size] += 1
-        return False
-
-    def extend(block: list[int], total: int, size: int) -> bool:
-        if len(block) == size:
-            if total != 0:
-                return False
-            blocks.append(list(block))
-            if close_block():
-                return True
-            blocks.pop()
-            return False
-        if len(block) == size - 1:
-            forced = neg[total]
-            if forced > block[-1] and not assigned[forced]:
-                tracker.spend()
-                assigned[forced] = True
-                block.append(forced)
-                if extend(block, 0, size):
-                    return True
-                block.pop()
-                assigned[forced] = False
-            return False
-        for i in range(block[-1] + 1, n):
-            if assigned[i]:
-                continue
-            tracker.spend()
-            assigned[i] = True
-            block.append(i)
-            if extend(block, add[total][i], size):
-                return True
-            block.pop()
-            assigned[i] = False
-        return False
-
-    try:
-        found = close_block()
-    except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
-    if not found:
-        return SearchReport(False, True, tracker.spent)
-    witness = tuple(tuple(elems[i] for i in blk) for blk in blocks)
-    report = SearchReport(True, True, tracker.spent, (spec, witness))
-    return _reverify(report, verify_sized_partition(spec, witness, parts))
+    blocks, close, _extend = _block_kernel(add, neg, assigned, Counter(parts), tracker)
+    return _settle(
+        tracker,
+        close,
+        lambda: (spec, tuple(tuple(elems[i] for i in blk) for blk in blocks)),
+        lambda witness: verify_sized_partition(spec, witness[1], parts),
+    )
 
 
 def _sized_partitions(total: int, min_part: int = 3):

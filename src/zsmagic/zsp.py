@@ -361,12 +361,37 @@ def _product_maps(spec: GroupSpec, pos_a, pos_b) -> tuple[dict, dict]:
     return phi, psi
 
 
-def _embed(spec: GroupSpec, mults, e_sub) -> Element:
-    return tuple(x * m for x, m in zip(e_sub, mults))
+def _subgroup_maps(spec: GroupSpec, mults) -> tuple[dict, dict]:
+    """Ladder maps of the subgroup H generated by mults[i] * e_i, as maps
+    on the elements of H inside ``spec``."""
+    sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
+
+    def embed(e_sub) -> Element:
+        return tuple(x * m for x, m in zip(e_sub, mults))
+
+    return tuple({embed(b): embed(v) for b, v in maps.items()} for maps in _ladder_maps(sub))
 
 
-def _unembed(mults, e) -> Element:
-    return tuple(x // m for x, m in zip(e, mults))
+def _lift_triples(spec: GroupSpec, sub_maps, reps, phi: dict, psi: dict) -> None:
+    """Fill phi and psi on the cosets r0 + H, r1 + H, r2 + H, where
+    ``reps`` = (r0, r1, r2) sums to zero.
+
+    For each b in H, with (phi0, psi0) = ``sub_maps`` a triple bijection
+    of H, (r0 + b, r1 + phi0(b), r2 + psi0(b)) is a zero-sum triple; phi
+    maps each entry to the next one and psi to the one after.
+    """
+    phi0, psi0 = sub_maps
+    for b, b1 in phi0.items():
+        t = [spec.add(r, x) for r, x in zip(reps, (b, b1, psi0[b]))]
+        for i in range(3):
+            phi[t[i]] = t[i - 2]
+            psi[t[i]] = t[i - 1]
+
+
+def _unit(pos: int, value: int = 1) -> Element:
+    e = [0, 0, 0]
+    e[pos] = value
+    return tuple(e)
 
 
 def _quotient22_maps(spec: GroupSpec) -> tuple[dict, dict]:
@@ -381,42 +406,11 @@ def _quotient22_maps(spec: GroupSpec) -> tuple[dict, dict]:
     mults = [1, 1, 1]
     mults[pb] = 2
     mults[pc] = 2
-    sub_spec = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-    phi0, psi0 = _ladder_maps(sub_spec)
-    phi0_inv = {v: k for k, v in phi0.items()}
-    psi0_inv = {v: k for k, v in psi0.items()}
-
-    def unit(pos):
-        e = [0, 0, 0]
-        e[pos] = 1
-        return tuple(e)
-
-    c = unit(pb)
-    d = unit(pc)
-    cd = spec.neg(spec.add(c, d))
-    emb = lambda x: _embed(spec, mults, x)
-    unemb = lambda x: _unembed(mults, x)
-
-    phi = {}
-    psi = {}
-    for a in spec.elements():
-        parity = (a[pb] % 2, a[pc] % 2)
-        if parity == (0, 0):
-            b = unemb(a)
-            phi[a] = emb(phi0[b])
-            psi[a] = emb(psi0[b])
-        elif parity == (1, 0):
-            b = unemb(spec.sub(a, c))
-            phi[a] = spec.add(d, emb(phi0[b]))
-            psi[a] = spec.add(cd, emb(psi0[b]))
-        elif parity == (0, 1):
-            b = phi0_inv[unemb(spec.sub(a, d))]
-            phi[a] = spec.add(cd, emb(psi0[b]))
-            psi[a] = spec.add(c, emb(b))
-        else:
-            b = psi0_inv[unemb(spec.sub(a, cd))]
-            phi[a] = spec.add(c, emb(b))
-            psi[a] = spec.add(d, emb(phi0[b]))
+    sub_maps = _subgroup_maps(spec, mults)
+    c = _unit(pb)
+    d = _unit(pc)
+    phi, psi = map(dict, sub_maps)  # copies: the lift reads sub_maps while it fills them
+    _lift_triples(spec, sub_maps, (c, d, spec.neg(spec.add(c, d))), phi, psi)
     return phi, psi
 
 
@@ -434,58 +428,13 @@ def _quotient8_maps(spec: GroupSpec) -> tuple[dict, dict]:
     mults0[pz] = 8
     mults1 = [1, 1, 1]
     mults1[pz] = 4
-    spec0 = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults0)))
-    spec1 = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults1)))
-    phi0, psi0 = _ladder_maps(spec0)
-    phi1, psi1 = _ladder_maps(spec1)
-    phi0_inv = {v: k for k, v in phi0.items()}
-    psi0_inv = {v: k for k, v in psi0.items()}
-
-    def unit(value):
-        e = [0, 0, 0]
-        e[pz] = value
-        return tuple(e)
-
-    c = unit(1)
-    d = unit(2)
-    cd = spec.neg(spec.add(c, d))  # residue 5
-    emb0 = lambda x: _embed(spec, mults0, x)
-    unemb0 = lambda x: _unembed(mults0, x)
-    emb1 = lambda x: _embed(spec, mults1, x)
-    unemb1 = lambda x: _unembed(mults1, x)
-
-    phi = {}
-    psi = {}
-    for a in spec.elements():
-        z = a[pz] % 8
-        if z in (0, 4):
-            b = unemb1(a)
-            phi[a] = emb1(phi1[b])
-            psi[a] = emb1(psi1[b])
-        elif z == 1:
-            b = unemb0(spec.sub(a, c))
-            phi[a] = spec.add(d, emb0(phi0[b]))
-            psi[a] = spec.add(cd, emb0(psi0[b]))
-        elif z == 2:
-            b = phi0_inv[unemb0(spec.sub(a, d))]
-            phi[a] = spec.add(cd, emb0(psi0[b]))
-            psi[a] = spec.add(c, emb0(b))
-        elif z == 5:
-            b = psi0_inv[unemb0(spec.sub(a, cd))]
-            phi[a] = spec.add(c, emb0(b))
-            psi[a] = spec.add(d, emb0(phi0[b]))
-        elif z == 7:
-            b = unemb0(spec.add(a, c))
-            phi[a] = spec.add(spec.neg(d), emb0(phi0[b]))
-            psi[a] = spec.add(spec.neg(cd), emb0(psi0[b]))
-        elif z == 6:
-            b = phi0_inv[unemb0(spec.add(a, d))]
-            phi[a] = spec.add(spec.neg(cd), emb0(psi0[b]))
-            psi[a] = spec.add(spec.neg(c), emb0(b))
-        else:  # z == 3
-            b = psi0_inv[unemb0(spec.add(a, cd))]
-            phi[a] = spec.add(spec.neg(c), emb0(b))
-            psi[a] = spec.add(spec.neg(d), emb0(phi0[b]))
+    sub_maps = _subgroup_maps(spec, mults0)
+    c = _unit(pz, 1)
+    d = _unit(pz, 2)
+    reps = (c, d, spec.neg(spec.add(c, d)))
+    phi, psi = _subgroup_maps(spec, mults1)
+    _lift_triples(spec, sub_maps, reps, phi, psi)
+    _lift_triples(spec, sub_maps, tuple(map(spec.neg, reps)), phi, psi)
     return phi, psi
 
 

@@ -140,6 +140,27 @@ class TestSearchAndScan:
         graph.write_text("\n".join(lines) + "\n")
         assert run(capsys, "search", "labeling", str(graph), "Z6")[0] == EXIT_NONEXISTENT
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(("zsp", "Z9", "3"), EXIT_OK, id="zsp"),
+            pytest.param(("kotzig", "3", "3", "--int"), EXIT_OK, id="int-kotzig"),
+            pytest.param(("zsp", "Z8"), EXIT_INVALID, id="zsp-without-m"),
+            pytest.param(("zsp", "Z9", "3", "4"), EXIT_INVALID, id="zsp-extra-argument"),
+            pytest.param(("kotzig", "Z8"), EXIT_INVALID, id="kotzig-without-j"),
+            pytest.param(("kotzig", "8", "--int"), EXIT_INVALID, id="int-kotzig-without-j"),
+            pytest.param(("labeling", "g.graph"), EXIT_INVALID, id="labeling-without-group"),
+            pytest.param(("bijection", "Z8", "extra"), EXIT_INVALID, id="bijection-extra-argument"),
+        ],
+    )
+    def test_argument_table(self, capsys, argv, code):
+        got, out, err = run(capsys, "search", *argv)
+        assert got == code
+        if code == EXIT_INVALID:
+            assert err.startswith("error (invalid-input)") and "expects" in err
+        else:
+            assert "found=true" in out
+
     def test_scan(self, capsys):
         code, out, _ = run(capsys, "scan", "8")
         assert code == EXIT_OK
