@@ -1,4 +1,4 @@
-"""Tour of the group layer: parsing, arithmetic, involutions, quotients.
+"""Tour of the group layer: parsing, arithmetic, involutions, 2-part splits.
 
 Run:  python demos/01_group_basics.py
 """
@@ -9,9 +9,8 @@ from zsmagic import (
     in_class_g,
     involutions,
     parse_group_spec,
-    quotient,
     sum_all,
-    sum_all_literal,
+    two_part_split,
 )
 
 # Groups are direct products of cyclic groups, written Z2xZ2xZ4.
@@ -29,14 +28,14 @@ print("first five elements:", spec.elements()[:5])
 print("index of (1,0,2):", spec.index_of((1, 0, 2)))
 
 # Involutions are the order-2 elements; their count is 2^rank - 1.
-iset = involutions(spec)
-print(f"{len(iset.elements)} involutions:", [format_element(e) for e in iset.elements])
+invs = involutions(spec)
+print(f"{len(invs)} involutions:", [format_element(e) for e in invs])
 
 # The sum of all elements is the unique involution when there is exactly
 # one, and the identity otherwise; the closed form matches the fold.
 for text in ("Z4", "Z5", "Z2xZ2"):
     s = parse_group_spec(text)
-    assert sum_all(s) == sum_all_literal(s)
+    assert sum_all(s) == s.sum(s.elements())
     print(f"sum of all elements of {s}: {format_element(sum_all(s))}")
 
 # Class G = odd order or more than one involution.  These are exactly the
@@ -48,9 +47,12 @@ for text in ("Z7", "Z6", "Z2xZ2xZ4"):
 print("canonical(Z6) =", canonical_factors(parse_group_spec("Z6")))
 print("canonical(Z2xZ3) =", canonical_factors(parse_group_spec("Z2xZ3")))
 
-# Quotients: cosets of the subgroup spanned by given generators.
-dec = quotient(parse_group_spec("Z2xZ2xZ16"), [(1, 0, 0), (0, 1, 0), (0, 0, 8)])
+# Every group splits as (2-part) x (odd part); the split is an isomorphism.
+split = two_part_split(parse_group_spec("Z12xZ6"))
+x = (7, 5)
+two, odd = split.split(x)
+assert split.merge(two, odd) == x
 print(
-    f"quotient of Z2xZ2xZ16 by an index-8 subgroup: {dec.quotient_spec} "
-    f"with representatives {[format_element(r) for r in dec.representatives]}"
+    f"Z12xZ6 = ({split.two_spec}) x ({split.odd_spec}); "
+    f"{format_element(x)} splits as {format_element(two)} + {format_element(odd)}"
 )

@@ -50,4 +50,4 @@ except NonexistenceError as exc:
 bad = [[(0,), (1,), (2,)], [(3,), (4,), (5,)], [(6,), (7,), (8,)]]
 print("tampered partition:", verify_zsp(z9, bad, 3))
 
-print("involutions of Z2xZ2xZ3:", involutions(z2z2z3).elements)
+print("involutions of Z2xZ2xZ3:", involutions(z2z2z3))

@@ -36,9 +36,7 @@ from .graphs import (
     verify_labeling,
 )
 from .groups import (
-    CosetDecomposition,
     GroupSpec,
-    InvolutionSet,
     abelian_groups_up_to,
     abelian_isomorphism_classes,
     canonical_factors,
@@ -50,10 +48,7 @@ from .groups import (
     parse_element,
     parse_group_spec,
     prime_power_refinement,
-    quotient,
-    subgroup_closure,
     sum_all,
-    sum_all_literal,
     two_part_split,
     two_torsion_rank,
 )
@@ -63,8 +58,6 @@ from .kotzig import (
     array_from_text,
     array_to_text,
     build_group_kotzig,
-    build_group_kotzig_2,
-    build_group_kotzig_3,
     build_int_kotzig,
     verify_kotzig,
 )

@@ -24,6 +24,7 @@ from . import graphs, kotzig, oracle
 from .errors import NonexistenceError, ParameterError, ZsmagicError
 from .groups import (
     canonical_factors,
+    certificate_lines,
     format_element,
     in_class_g,
     involution_count,
@@ -164,11 +165,8 @@ def _handle_label(args):
 
 
 def _verify_payload(text: str, graph_path: str | None):
-    head = next(
-        (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
-        "",
-    )
-    kind = head.split()[0] if head.split() else ""
+    lines = certificate_lines(text)
+    kind = lines[0].split()[0] if lines else ""
     if kind == "partition":
         partition = partition_from_text(text)
         check = verify_zsp(partition.spec, partition, partition.m)
@@ -229,12 +227,20 @@ _SEARCH_ARGS = {
 }
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ParameterError(f"--budget must be at least 1, got {budget}")
+
+
 def _handle_search(args):
     expected = _SEARCH_ARGS[args.kind]
     if len(args.args) != len(expected):
         raise ParameterError(
             f"search {args.kind} expects {' '.join(expected)}, got {len(args.args)} argument(s)"
         )
+    if args.int_mode and args.kind != "kotzig":
+        raise ParameterError(f"--int applies to search kotzig only, not search {args.kind}")
+    _check_budget(args.budget)
     kind = args.kind
     if args.kind == "zsp":
         spec = parse_group_spec(args.args[0])
@@ -263,6 +269,7 @@ def _handle_search(args):
 
 
 def _handle_scan(args):
+    _check_budget(args.budget)
     rows = []
     exit_code = EXIT_OK
     for spec, sizes, report in oracle.scan_conjecture(args.max_order, args.budget):

@@ -16,6 +16,7 @@ from .errors import GroupSpecError, NonexistenceError, ParameterError
 from .groups import (
     Element,
     GroupSpec,
+    certificate_lines,
     format_element,
     in_class_g,
     involution_count,
@@ -348,13 +349,6 @@ def blowup_even_label(g: Graph, n2: int, spec: GroupSpec) -> Labeling:
     return Labeling(spec, tuple(assignment))
 
 
-def blowup_even_magic_constant(g: Graph, n2: int, spec: GroupSpec) -> Element:
-    elems = spec.elements()
-    doubled = {spec.scale(2, e) for e in elems}
-    s = next(e for e in elems if e not in doubled)
-    return spec.scale(g.regular_degree * (n2 // 2), s)
-
-
 def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
     """Label g o K̄_n  for an all-even-degree bipartite g with equal sides
     and order 2 mod 4, n odd.
@@ -456,7 +450,7 @@ def labeling_to_text(labeling: Labeling) -> str:
 
 def labeling_from_text(text: str) -> Labeling:
     """Parse a labeling certificate; ``Labeling`` reduces each label once."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = certificate_lines(text)
     header = lines[0].split() if lines else []
     if header[:1] != ["labeling"] or len(header) != 2:
         raise GroupSpecError("not a labeling certificate")

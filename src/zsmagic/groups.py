@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -199,6 +198,11 @@ def header_fields(tokens, ints=()) -> dict:
     return fields
 
 
+def certificate_lines(text: str) -> list[str]:
+    """The content lines of a certificate: neither blank nor ``#`` annotations."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 # -- factorisation and canonical form ----------------------------------------
 
 
@@ -246,165 +250,29 @@ def involution_count(spec: GroupSpec) -> int:
     return 2 ** two_torsion_rank(spec) - 1
 
 
-@dataclass(frozen=True)
-class InvolutionSet:
-    """The order-2 elements of a group, in enumeration order.
-
-    ``includes_identity`` distinguishes the bare involution set from its
-    closure (involutions plus the identity, a subgroup of order 2^rank).
-    """
-
-    spec: GroupSpec
-    elements: tuple[Element, ...]
-    includes_identity: bool = False
-
-    def with_identity(self) -> "InvolutionSet":
-        if self.includes_identity:
-            return self
-        closed = tuple(sorted(self.elements + (self.spec.identity(),)))
-        return InvolutionSet(self.spec, closed, includes_identity=True)
-
-
-def involutions(spec: GroupSpec) -> InvolutionSet:
-    """All elements of order exactly 2; count equals 2^rank - 1."""
+def involutions(spec: GroupSpec) -> tuple[Element, ...]:
+    """All elements of order exactly 2, in enumeration order; 2^rank - 1 of them."""
     choices = []
     for f in spec.factors:
         choices.append((0, f // 2) if f % 2 == 0 else (0,))
-    elems = tuple(
-        e for e in _cartesian(*choices) if any(e)
-    )
-    return InvolutionSet(spec, elems, includes_identity=False)
+    return tuple(e for e in _cartesian(*choices) if any(e))
 
 
 def sum_all(spec: GroupSpec) -> Element:
     """Sum of all group elements, by closed form.
 
     Equals the unique involution when exactly one exists, and the identity
-    otherwise.  :func:`sum_all_literal` is the brute-force cross-check.
+    otherwise.
     """
     invs = involutions(spec)
-    if len(invs.elements) == 1:
-        return invs.elements[0]
+    if len(invs) == 1:
+        return invs[0]
     return spec.identity()
-
-
-def sum_all_literal(spec: GroupSpec, *, max_order: int = DEFAULT_ORDER_BOUND) -> Element:
-    return spec.sum(spec.elements(max_order=max_order))
 
 
 def in_class_g(spec: GroupSpec) -> bool:
     """True when the order is odd or the group has more than one involution."""
     return spec.order % 2 == 1 or two_torsion_rank(spec) >= 2
-
-
-# -- subgroups, cosets, quotients ---------------------------------------------
-
-
-def subgroup_closure(spec: GroupSpec, generators) -> tuple[Element, ...]:
-    """Closure of the generators under addition, sorted in enumeration order."""
-    gens = [spec.reduce(g) for g in generators]
-    seen = {spec.identity()}
-    queue = deque(seen)
-    while queue:
-        cur = queue.popleft()
-        for g in gens:
-            nxt = spec.add(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return tuple(sorted(seen))
-
-
-def _quotient_spec_from_cosets(
-    spec: GroupSpec, leaders: list[Element], leader_of: dict[Element, Element]
-) -> GroupSpec:
-    """Cyclic decomposition of the quotient group given one leader per coset.
-
-    For each prime p, counting cosets killed by successive powers of p
-    yields the number of cyclic p-power factors of each exponent.
-    """
-    q = len(leaders)
-    if q == 1:
-        return GroupSpec(())
-    factors: list[int] = []
-    for p, emax in _factorize(q):
-        # e_k = log_p #(cosets x with p^k x = 0)
-        e = [0]
-        for k in range(1, emax + 1):
-            count = 0
-            mul = p**k
-            for rep in leaders:
-                if leader_of[spec.scale(mul, rep)] == leaders[0]:
-                    count += 1
-            e.append(round(math.log(count, p)))
-            if e[-1] == e[-2]:
-                break
-        lam = [e[k] - e[k - 1] for k in range(1, len(e))]
-        lam.append(0)
-        for k in range(1, len(lam)):
-            factors.extend([p**k] * (lam[k - 1] - lam[k]))
-    return GroupSpec(tuple(sorted(factors)))
-
-
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Cosets of a subgroup, one representative per coset.
-
-    The representative of the trivial coset is always the identity;
-    representatives are listed in enumeration order of their cosets'
-    least elements.
-    """
-
-    spec: GroupSpec
-    subgroup: tuple[Element, ...]
-    representatives: tuple[Element, ...]
-    quotient_spec: GroupSpec
-
-    def representative_of(self, a) -> Element:
-        a = self.spec.reduce(a)
-        for rep in self.representatives:
-            if self.spec.sub(a, rep) in self._subgroup_set:
-                return rep
-        raise ParameterError(f"element {a} not covered by the transversal")
-
-    @property
-    def _subgroup_set(self) -> frozenset:
-        return frozenset(self.subgroup)
-
-
-def quotient(
-    spec: GroupSpec,
-    generators,
-    representatives=None,
-) -> CosetDecomposition:
-    """Coset decomposition of the group by the subgroup the generators span.
-
-    Default representatives are the enumeration-least element of each
-    coset.  Callers may override with any transversal that represents the
-    trivial coset by the identity; anything else raises ``ParameterError``.
-    """
-    sub = subgroup_closure(spec, generators)
-    sub_set = frozenset(sub)
-    leader_of: dict[Element, Element] = {}
-    leaders: list[Element] = []
-    for e in spec.elements():
-        if e in leader_of:
-            continue
-        leaders.append(e)
-        for s in sub:
-            leader_of[spec.add(e, s)] = e
-    qspec = _quotient_spec_from_cosets(spec, leaders, leader_of)
-    if representatives is None:
-        reps = tuple(leaders)
-    else:
-        reps = tuple(spec.reduce(r) for r in representatives)
-        covered = {leader_of[r] for r in reps}
-        if len(reps) != len(leaders) or covered != set(leaders):
-            raise ParameterError("representative override is not a transversal")
-        trivial_rep = next(r for r in reps if leader_of[r] == spec.identity())
-        if trivial_rep != spec.identity():
-            raise ParameterError("trivial coset must be represented by the identity")
-    return CosetDecomposition(spec, sub, reps, qspec)
 
 
 # -- CRT refinement and the 2-part / odd-part split ---------------------------

@@ -16,8 +16,8 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, format_element, header_fields, in_class_g
-from .groups import parse_group_spec, parse_ints
+from .groups import Element, GroupSpec, certificate_lines, format_element, header_fields
+from .groups import in_class_g, parse_group_spec, parse_ints
 from .zsp import parse_blocks, triple_bijection
 
 
@@ -117,16 +117,6 @@ def _rows_3(spec: GroupSpec) -> tuple[tuple[Element, ...], ...]:
     return (tuple(elems), tuple(elems[i] for i in tb.phi), tuple(elems[i] for i in tb.psi))
 
 
-def build_group_kotzig_2(spec: GroupSpec) -> GroupKotzigArray:
-    """2 x k array: first row the enumeration, second row the negations."""
-    return _checked(GroupKotzigArray(spec, _rows_2(spec)))
-
-
-def build_group_kotzig_3(spec: GroupSpec) -> GroupKotzigArray:
-    """3 x k array from a triple bijection; columns sum to the identity."""
-    return _checked(GroupKotzigArray(spec, _rows_3(spec)))
-
-
 def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
     """j x k group Kotzig array; exists when j > 1 and j is even or the
     group is of odd order or has more than one involution.
@@ -206,7 +196,7 @@ def array_to_text(array) -> str:
 
 def array_from_text(text: str):
     """Parse a Kotzig certificate; the header's j and k must match the body."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = certificate_lines(text)
     header = lines[0].split() if lines else []
     if header[:1] == ["kotzig"] and len(header) == 4:
         spec = parse_group_spec(header[1])

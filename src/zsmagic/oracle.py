@@ -34,6 +34,7 @@ from .groups import (
     Element,
     GroupSpec,
     abelian_groups_up_to,
+    certificate_lines,
     format_element,
     header_fields,
     involution_count,
@@ -536,11 +537,19 @@ def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
 
     Qualifying groups have even order and at least three involutions.
     Compositions of the same multiset describe the same unordered
-    partition, so each multiset is searched once.
+    partition, so each multiset is searched once.  A qualifying group past
+    ``CONJECTURE_ORDER_CAP`` raises ``ParameterError`` before any row.
     """
+    specs = []
     for spec in abelian_groups_up_to(max_order):
         if spec.order % 2 != 0 or involution_count(spec) < 3:
             continue
+        if spec.order > CONJECTURE_ORDER_CAP:
+            raise ParameterError(
+                f"exhaustive partition search capped at order {CONJECTURE_ORDER_CAP}"
+            )
+        specs.append(spec)
+    for spec in specs:
         for sizes in _sized_partitions(spec.order - 1):
             yield spec, sizes, conjecture_scan(spec, sizes, budget)
 
@@ -555,7 +564,7 @@ def sized_partition_to_text(spec: GroupSpec, blocks) -> str:
 
 
 def sized_partition_from_text(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = certificate_lines(text)
     header = lines[0].split() if lines else []
     if header[:1] != ["partition-sizes"] or len(header) != 3:
         raise GroupSpecError("not a sized-partition certificate")
@@ -614,15 +623,9 @@ def report_to_text(report: SearchReport, kind: str | None = None) -> str:
 
 
 def report_from_text(text: str) -> tuple[str, SearchReport]:
-    lines = text.splitlines()
-    header = None
-    rest_start = 0
-    for i, ln in enumerate(lines):
-        if ln.strip() and not ln.lstrip().startswith("#"):
-            header = ln.split()
-            rest_start = i + 1
-            break
-    if header is None or header[0] != "report":
+    lines = certificate_lines(text)
+    header = lines[0].split() if lines else []
+    if header[:1] != ["report"]:
         raise GroupSpecError("not a search report")
     fields = header_fields(header[1:], ints=("nodes",))
     kind = fields.get("kind", "unknown")
@@ -632,9 +635,9 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
         raise GroupSpecError(f"unknown report kind {kind!r}")
     exhausted = fields.get("exhausted") == "true"
     witness = None
-    body = "\n".join(lines[rest_start:])
+    body = "\n".join(lines[1:])
     if found:
-        if not body.strip():
+        if not body:
             raise GroupSpecError("report says found=true but carries no witness")
         if kind == "sized-partition":
             spec, blocks, _sizes = sized_partition_from_text(body)

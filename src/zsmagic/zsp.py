@@ -36,6 +36,7 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
+    certificate_lines,
     format_element,
     header_fields,
     in_class_g,
@@ -724,7 +725,7 @@ def partition_to_text(partition: ZeroSumPartition) -> str:
 
 
 def partition_from_text(text: str) -> ZeroSumPartition:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = certificate_lines(text)
     if not lines or not lines[0].startswith("partition "):
         raise GroupSpecError("not a partition certificate")
     header = lines[0].split()
@@ -743,7 +744,7 @@ def bijection_to_text(tb: TripleBijection) -> str:
 
 
 def bijection_from_text(text: str) -> TripleBijection:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = certificate_lines(text)
     header = lines[0].split() if lines else []
     if header[:1] != ["bijection"] or len(header) != 2:
         raise GroupSpecError("not a bijection certificate")

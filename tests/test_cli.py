@@ -141,23 +141,53 @@ class TestSearchAndScan:
         assert run(capsys, "search", "labeling", str(graph), "Z6")[0] == EXIT_NONEXISTENT
 
     @pytest.mark.parametrize(
-        "argv, code",
+        "argv, code, message",
         [
-            pytest.param(("zsp", "Z9", "3"), EXIT_OK, id="zsp"),
-            pytest.param(("kotzig", "3", "3", "--int"), EXIT_OK, id="int-kotzig"),
-            pytest.param(("zsp", "Z8"), EXIT_INVALID, id="zsp-without-m"),
-            pytest.param(("zsp", "Z9", "3", "4"), EXIT_INVALID, id="zsp-extra-argument"),
-            pytest.param(("kotzig", "Z8"), EXIT_INVALID, id="kotzig-without-j"),
-            pytest.param(("kotzig", "8", "--int"), EXIT_INVALID, id="int-kotzig-without-j"),
-            pytest.param(("labeling", "g.graph"), EXIT_INVALID, id="labeling-without-group"),
-            pytest.param(("bijection", "Z8", "extra"), EXIT_INVALID, id="bijection-extra-argument"),
+            pytest.param(("search", "zsp", "Z9", "3"), EXIT_OK, None, id="zsp"),
+            pytest.param(("search", "kotzig", "3", "3", "--int"), EXIT_OK, None, id="int-kotzig"),
+            pytest.param(("search", "zsp", "Z8"), EXIT_INVALID, "expects", id="zsp-without-m"),
+            pytest.param(
+                ("search", "zsp", "Z9", "3", "4"), EXIT_INVALID, "expects", id="zsp-extra-argument"
+            ),
+            pytest.param(("search", "kotzig", "Z8"), EXIT_INVALID, "expects", id="kotzig-without-j"),
+            pytest.param(
+                ("search", "kotzig", "8", "--int"), EXIT_INVALID, "expects", id="int-kotzig-without-j"
+            ),
+            pytest.param(
+                ("search", "labeling", "g.graph"), EXIT_INVALID, "expects", id="labeling-without-group"
+            ),
+            pytest.param(
+                ("search", "bijection", "Z8", "extra"),
+                EXIT_INVALID,
+                "expects",
+                id="bijection-extra-argument",
+            ),
+            pytest.param(
+                ("search", "zsp", "Z9", "3", "--budget", "0"), EXIT_INVALID, "--budget", id="zero-budget"
+            ),
+            pytest.param(
+                ("search", "zsp", "Z9", "3", "--budget", "-5"),
+                EXIT_INVALID,
+                "--budget",
+                id="negative-budget",
+            ),
+            pytest.param(("scan", "8", "--budget", "0"), EXIT_INVALID, "--budget", id="scan-zero-budget"),
+            pytest.param(("search", "zsp", "Z9", "3", "--int"), EXIT_INVALID, "--int", id="int-zsp"),
+            pytest.param(("search", "bijection", "Z3", "--int"), EXIT_INVALID, "--int", id="int-bijection"),
+            pytest.param(
+                ("search", "labeling", "g.graph", "Z3", "--int"), EXIT_INVALID, "--int", id="int-labeling"
+            ),
         ],
     )
-    def test_argument_table(self, capsys, argv, code):
-        got, out, err = run(capsys, "search", *argv)
+    def test_argument_table(self, capsys, argv, code, message):
+        got, out, err = run(capsys, *argv)
         assert got == code
         if code == EXIT_INVALID:
-            assert err.startswith("error (invalid-input)") and "expects" in err
+            assert err.startswith("error (invalid-input)") and message in err
+            assert out == ""
+            got, out, _ = run(capsys, "--json", *argv)
+            assert got == code
+            assert json.loads(out)["error_kind"] == "invalid-input"
         else:
             assert "found=true" in out
 
@@ -165,6 +195,23 @@ class TestSearchAndScan:
         code, out, _ = run(capsys, "scan", "8")
         assert code == EXIT_OK
         assert "counterexamples: 0" in out
+
+    @pytest.mark.parametrize(
+        "max_order, code, rows",
+        [
+            pytest.param("27", EXIT_OK, 294, id="order-27"),
+            # Z2xZ2xZ7 (order 28) is past the cap: refused before any instance runs
+            pytest.param("30", EXIT_INVALID, 0, id="order-30"),
+        ],
+    )
+    def test_scan_cap(self, capsys, max_order, code, rows):
+        got, out, err = run(capsys, "scan", max_order)
+        assert got == code
+        assert sum(line.startswith("# ") for line in out.splitlines()) == rows
+        if code == EXIT_OK:
+            assert "counterexamples: 0" in out
+        else:
+            assert out == "" and err.startswith("error (invalid-input)")
 
 
 class TestJsonMode:

@@ -22,7 +22,7 @@ from zsmagic import (
     path_graph,
     verify_labeling,
 )
-from zsmagic.graphs import blowup_even_magic_constant, weights
+from zsmagic.graphs import weights
 
 
 class TestGraphModel:
@@ -161,7 +161,10 @@ class TestBlowupEvenLabel:
         lab = blowup_even_label(base, n2, spec)
         verdict = verify_labeling(lex_product(base, empty_graph(n2)), lab)
         assert verdict.is_magic
-        assert verdict.mu == blowup_even_magic_constant(base, n2, spec)
+        # each vertex weighs r * (n2/2) * s, s the least element outside 2G
+        doubled = {spec.scale(2, e) for e in spec.elements()}
+        s = next(e for e in spec.elements() if e not in doubled)
+        assert verdict.mu == spec.scale(base.regular_degree * (n2 // 2), s)
 
     def test_irregular_base_rejected(self):
         with pytest.raises(ParameterError):
@@ -235,3 +238,45 @@ class TestBipartiteBlowupExists:
             bipartite_blowup_exists(cycle_graph(4), 2)
         with pytest.raises(ParameterError):
             bipartite_blowup_exists(cycle_graph(6), 1)
+
+
+class TestNetworkxCrossCheck:
+    """Every graph of the networkx atlas (all graphs on up to 7 vertices)."""
+
+    @pytest.fixture(scope="class")
+    def atlas(self):
+        nx = pytest.importorskip("networkx")
+        return nx, [(h, Graph(h.number_of_nodes(), h.edges())) for h in nx.graph_atlas_g()]
+
+    def test_lex_product(self, atlas):
+        nx, graphs = atlas
+        fibers = [(h, g) for h, g in graphs if 1 <= g.n <= 2]
+        for base_nx, base in graphs:
+            for fiber_nx, fiber in fibers:
+                product = lex_product(base, fiber)
+                expected = nx.lexicographic_product(base_nx, fiber_nx)
+                nf = fiber.n
+                edges = {tuple(sorted((u * nf + v, x * nf + y))) for (u, v), (x, y) in expected.edges()}
+                assert product.n == expected.number_of_nodes()
+                assert set(product.edges()) == edges, (base_nx.edges(), fiber_nx.edges())
+
+    def test_bipartitions(self, atlas):
+        nx, graphs = atlas
+        for h, g in graphs:
+            bip = g.bipartition()
+            assert (bip is not None) == nx.is_bipartite(h), h.edges()
+            balanced = g.balanced_bipartition()
+            if bip is None:
+                assert balanced is None
+                continue
+            # a balanced coloring picks one side of every component, summing to n/2
+            totals = {0}
+            for comp in nx.connected_components(h):
+                sides = nx.bipartite.sets(h.subgraph(comp))
+                totals = {t + len(side) for t in totals for side in sides}
+            assert (balanced is not None) == (g.n % 2 == 0 and g.n // 2 in totals), h.edges()
+            for v1, v2 in filter(None, (bip, balanced)):
+                assert sorted(v1 + v2) == list(range(g.n))
+                assert all((u in v1) != (v in v1) for u, v in g.edges())
+            if balanced is not None:
+                assert len(balanced[0]) == len(balanced[1])

@@ -8,8 +8,6 @@ from zsmagic import (
     NonexistenceError,
     ParameterError,
     build_group_kotzig,
-    build_group_kotzig_2,
-    build_group_kotzig_3,
     build_int_kotzig,
     in_class_g,
     verify_kotzig,
@@ -19,34 +17,34 @@ from zsmagic.groups import abelian_groups_up_to
 
 class TestGroupBuilders:
     def test_two_rows_z3(self):
-        array = build_group_kotzig_2(GroupSpec((3,)))
+        array = build_group_kotzig(GroupSpec((3,)), 2)
         assert array.rows == (((0,), (1,), (2,)), ((0,), (2,), (1,)))
         assert array.column_sum() == (0,)
 
     def test_two_rows_self_inverse_group(self):
-        array = build_group_kotzig_2(GroupSpec((2, 2)))
+        array = build_group_kotzig(GroupSpec((2, 2)), 2)
         assert array.rows[0] == array.rows[1]
         assert array.column_sum() == (0, 0)
 
     def test_two_rows_z4(self):
-        array = build_group_kotzig_2(GroupSpec((4,)))
+        array = build_group_kotzig(GroupSpec((4,)), 2)
         assert array.rows == (((0,), (1,), (2,), (3,)), ((0,), (3,), (2,), (1,)))
 
     def test_three_rows_odd_group(self):
-        array = build_group_kotzig_3(GroupSpec((5,)))
+        array = build_group_kotzig(GroupSpec((5,)), 3)
         assert array.rows[0] == array.rows[1]  # odd order: phi is the identity
         assert array.rows[2] == tuple(((-2 * g) % 5,) for g in range(5))
         assert verify_kotzig(array).ok
 
     def test_three_rows_from_seed_table(self):
         spec = GroupSpec((2, 2, 2))
-        array = build_group_kotzig_3(spec)
+        array = build_group_kotzig(spec, 3)
         assert verify_kotzig(array).ok
         assert array.column_sum() == (0, 0, 0)
 
     def test_three_rows_single_involution_refused(self):
         with pytest.raises(NonexistenceError):
-            build_group_kotzig_3(GroupSpec((6,)))
+            build_group_kotzig(GroupSpec((6,)), 3)
 
     def test_stacked_even(self):
         array = build_group_kotzig(GroupSpec((4,)), 4)
@@ -109,7 +107,7 @@ class TestIntBuilders:
 
 class TestVerifier:
     def test_accepts_built_arrays(self):
-        assert verify_kotzig(build_group_kotzig_2(GroupSpec((3,)))).ok
+        assert verify_kotzig(build_group_kotzig(GroupSpec((3,)), 2)).ok
         assert verify_kotzig(build_int_kotzig(2, 4)).ok
 
     def test_rejects_duplicate_row(self):

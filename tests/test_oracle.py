@@ -159,7 +159,7 @@ class TestConjectureScan:
         report = conjecture_scan(spec, (3,))
         assert report.found
         blocks = report.witness[1]
-        assert set(blocks[0]) == set(involutions(spec).elements)
+        assert set(blocks[0]) == set(involutions(spec))
 
     def test_mixed_sizes(self):
         spec = GroupSpec((2, 2, 3))

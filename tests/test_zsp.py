@@ -89,7 +89,7 @@ class TestInvolutionQuadruples:
         spec = GroupSpec((2, 2, 2, 2))
         part = involution_quadruples(spec)
         assert len(part.blocks) == 4
-        universe = involutions(spec).with_identity().elements
+        universe = (spec.identity(),) + involutions(spec)
         assert verify_zsp(spec, part, 4, universe=universe).ok
 
     def test_single_involution_rejected(self):
@@ -104,7 +104,7 @@ class TestInvolutionQuadruples:
             return
         part = involution_quadruples(spec)
         assert len(part.blocks) == 2 ** (rank - 2)
-        universe = involutions(spec).with_identity().elements
+        universe = (spec.identity(),) + involutions(spec)
         assert verify_zsp(spec, part, 4, universe=universe).ok
 
 
