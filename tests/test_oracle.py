@@ -14,6 +14,7 @@ from zsmagic import (
     cycle_graph,
     in_class_g,
     involutions,
+    obstruction_check,
     parse_group_spec,
     report_to_text,
     scan_conjecture,
@@ -322,3 +323,22 @@ def test_pinned_reports(name, count, digest):
     texts = list(_SWEEPS[name]())
     assert len(texts) == count
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+
+def test_pinned_labeling_verdicts():
+    """(found, exhausted, witness) of every atlas graph over every group of its
+    order at the default budget, recorded before the labeling search was
+    reduced by symmetry; node counts are left out on purpose."""
+    nx = pytest.importorskip("networkx")
+    rows = []
+    for atlas_graph in nx.graph_atlas_g():
+        g = Graph(atlas_graph.number_of_nodes(), atlas_graph.edges())
+        for spec in abelian_groups_up_to(g.n, min_order=max(g.n, 1)):
+            report = search_labeling(g, spec)
+            if obstruction_check(g, spec).status == "impossible":
+                assert not report.found and report.exhausted, (atlas_graph.edges(), spec)
+            rows.append((report.found, report.exhausted, report.witness and report.witness.assignment))
+    assert len(rows) == 1263
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "3de621484ca03c30e8a6e45b53b523fedb7c331be062305c59d566c8e14821f2"
+    )
