@@ -23,6 +23,7 @@ column-major, labelings by vertex index).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -383,12 +384,43 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
 # -- magic labeling search --------------------------------------------------------
 
 
+def _label_normal_form(g: Graph, spec: GroupSpec):
+    """Labels vertex 0 may take and, for each, the labels vertex 1 may take.
+
+    The maps are x -> u*x + c with u a unit modulo the exponent and c in
+    T = {c : (deg x - deg y)*c = 0 for all vertices x, y}.  A label is kept
+    when it is least in its orbit: under all maps for vertex 0, under those
+    fixing the label of vertex 0 for vertex 1.
+    """
+    elems, add, _neg = _tables(spec)
+    exponent = math.lcm(*spec.factors)
+    spread = math.gcd(*(d - g.degrees[0] for d in g.degrees))  # 0 on a regular graph
+    translations = [c for c, e in enumerate(elems) if not any(spec.scale(spread, e))]
+    maps = [
+        [add[spec.index_of(spec.scale(u, e))][c] for e in elems]
+        for u in range(exponent)
+        if math.gcd(u, exponent) == 1
+        for c in translations
+    ]
+    firsts = [a for a in range(g.n) if all(m[a] >= a for m in maps)]
+    seconds = {a: [b for b in range(g.n) if all(m[b] >= b for m in maps if m[a] == a)] for a in firsts}
+    return firsts, seconds
+
+
 def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a magic labeling of ``g`` by ``spec``.
 
     Vertices take labels in index order; whenever the last neighbor of a
     vertex is placed its weight becomes determined and must match every
     other determined weight.
+
+    Vertices 0 and 1 take only labels in the normal form of
+    ``_label_normal_form``.  For sigma(x) = u*x + c the weights of
+    sigma o l are u*w(x) + deg(x)*c, and deg(x)*c is the same for every
+    vertex, so sigma o l is magic exactly when l is.  The least magic
+    labeling is therefore in normal form (any sigma lowering its first
+    label, or its second while fixing the first, would give a lesser one),
+    so the witness is unchanged and an exhausted search is still a proof.
     """
     if g.n != spec.order:
         raise ParameterError(f"graph order {g.n} does not match group order {spec.order}")
@@ -405,6 +437,7 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         ready[when].append(w)
     labels = [-1] * n
     used = [False] * n
+    firsts, seconds = _label_normal_form(g, spec)
 
     def weight_of(w: int) -> int:
         total = 0
@@ -415,7 +448,7 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
     def extend(v: int, mu) -> bool:
         if v == n:
             return True
-        for value in range(n):
+        for value in firsts if v == 0 else seconds[labels[0]] if v == 1 else range(n):
             if used[value]:
                 continue
             tracker.spend()
