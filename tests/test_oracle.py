@@ -316,7 +316,7 @@ _SWEEPS = {
         ("scan", 689, "fed8655840dddd4fa75b85924c36b92cf04cd32d31e9b5a5db92ab00c74d5abc"),
         ("kotzig", 1083, "20ac08719a9c80e9ba68ccb540ef033c0b88cd4b0818e79f058500bebc25f28a"),
         ("bijection", 56, "5cc26cdd06ace039010d435d4452787dd36678953ccf426c97114b48e2510072"),
-        ("labeling", 95, "a29d128b6d53f6b65a6ac28547c9998b0480545f449808005eac79e12399edd0"),
+        ("labeling", 95, "a34ecc4e5cc78ef34dfc4a544871d19e5cf49d179dfc6c84eeb8bd7b7ed573fb"),
     ],
 )
 def test_pinned_reports(name, count, digest):
