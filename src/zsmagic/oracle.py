@@ -4,8 +4,9 @@ Every search here is a canonical backtracking that never consults the
 constructors; found witnesses are re-verified with the owning module's
 verifier before being reported.  Pruning is limited to constraints every
 completion must satisfy (injectivity, zero sums, column sums and the
-total-sum feasibility check at the root), so ``found=False`` together
-with ``exhausted=True`` is a proof of nonexistence.
+total-sum feasibility check at the root) and to the labeling normal form
+below, so ``found=False`` together with ``exhausted=True`` is a proof of
+nonexistence.
 
 Two kernels carry the partition and array searches: the sized-block
 kernel (zero-sum blocks with a given multiset of sizes, run by
@@ -19,6 +20,14 @@ on the identity without a choice, so that anchor is not a node.
 Witnesses are deterministic: the least solution in the documented search
 order (element enumeration order, grids scanned per column sum then
 column-major, labelings by vertex index).
+
+Labeling normal form: S is the maps sigma(x) = u*x + c, u a unit modulo
+the exponent, c with (deg x - deg y)*c = 0 for all vertices x, y.  Vertex
+0 takes only labels least in their S-orbit, vertex 1 only those least in
+their orbit under the stabiliser of the label of vertex 0.  The weights of
+sigma o l are u*w(x) + deg(x)*c, so sigma o l is magic exactly when l is,
+and the least magic labeling is in normal form (else a sigma gives a
+lesser one).
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ DEFAULT_BUDGET = 10**7
 ZSP_ORDER_CAP = 24
 BIJECTION_ORDER_CAP = 16
 KOTZIG_CELL_CAP = 48
-LABELING_ORDER_CAP = 10
+LABELING_ORDER_CAP = 12
 CONJECTURE_ORDER_CAP = 24
 
 
@@ -384,29 +393,6 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
 # -- magic labeling search --------------------------------------------------------
 
 
-def _label_normal_form(g: Graph, spec: GroupSpec):
-    """Labels vertex 0 may take and, for each, the labels vertex 1 may take.
-
-    The maps are x -> u*x + c with u a unit modulo the exponent and c in
-    T = {c : (deg x - deg y)*c = 0 for all vertices x, y}.  A label is kept
-    when it is least in its orbit: under all maps for vertex 0, under those
-    fixing the label of vertex 0 for vertex 1.
-    """
-    elems, add, _neg = _tables(spec)
-    exponent = math.lcm(*spec.factors)
-    spread = math.gcd(*(d - g.degrees[0] for d in g.degrees))  # 0 on a regular graph
-    translations = [c for c, e in enumerate(elems) if not any(spec.scale(spread, e))]
-    maps = [
-        [add[spec.index_of(spec.scale(u, e))][c] for e in elems]
-        for u in range(exponent)
-        if math.gcd(u, exponent) == 1
-        for c in translations
-    ]
-    firsts = [a for a in range(g.n) if all(m[a] >= a for m in maps)]
-    seconds = {a: [b for b in range(g.n) if all(m[b] >= b for m in maps if m[a] == a)] for a in firsts}
-    return firsts, seconds
-
-
 def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a magic labeling of ``g`` by ``spec``.
 
@@ -414,13 +400,10 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
     vertex is placed its weight becomes determined and must match every
     other determined weight.
 
-    Vertices 0 and 1 take only labels in the normal form of
-    ``_label_normal_form``.  For sigma(x) = u*x + c the weights of
-    sigma o l are u*w(x) + deg(x)*c, and deg(x)*c is the same for every
-    vertex, so sigma o l is magic exactly when l is.  The least magic
-    labeling is therefore in normal form (any sigma lowering its first
-    label, or its second while fixing the first, would give a lesser one),
-    so the witness is unchanged and an exhausted search is still a proof.
+    Vertices 0 and 1 take only labels in the normal form of the module
+    docstring.  As sigma o l has weights u*w(x) + deg(x)*c and is magic
+    exactly when l is, the least witness is in normal form: it is found
+    unchanged, and an exhausted search is still a proof.
     """
     if g.n != spec.order:
         raise ParameterError(f"graph order {g.n} does not match group order {spec.order}")
@@ -437,7 +420,16 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         ready[when].append(w)
     labels = [-1] * n
     used = [False] * n
-    firsts, seconds = _label_normal_form(g, spec)
+    # the normal form, as element indices: each map is a table x -> u*x + c
+    exponent = math.lcm(*spec.factors)
+    spread = math.gcd(*(d - g.degrees[0] for d in g.degrees))  # 0 on a regular graph
+    units = [u for u in range(exponent) if math.gcd(u, exponent) == 1]
+    shifts = [c for c, e in enumerate(elems) if spec.scale(spread, e) == spec.identity()]
+    maps = [[add[spec.index_of(spec.scale(u, e))][c] for e in elems] for u in units for c in shifts]
+    firsts = [a for a in range(n) if all(m[a] >= a for m in maps)]
+    seconds = {
+        a: [b for b in range(n) if all(m[b] >= b for m in maps if m[a] == a)] for a in firsts
+    }
 
     def weight_of(w: int) -> int:
         total = 0
@@ -607,6 +599,8 @@ def sized_partition_from_text(text: str):
     except (KeyError, ValueError) as exc:
         raise GroupSpecError("header needs sizes=<size>,<size>,...") from exc
     blocks = parse_blocks(lines[1:], spec)
+    if Counter(map(len, blocks)) != Counter(sizes):
+        raise GroupSpecError("the block sizes contradict the header's sizes=")
     return spec, blocks, sizes
 
 

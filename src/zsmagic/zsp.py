@@ -733,7 +733,10 @@ def partition_from_text(text: str) -> ZeroSumPartition:
         raise GroupSpecError(f"bad partition header {lines[0]!r}")
     spec = parse_group_spec(header[1])
     m = header_fields(header[2:], ints=("m",))["m"]
-    return ZeroSumPartition._sorted(spec, m, parse_blocks(lines[1:], spec))
+    blocks = parse_blocks(lines[1:], spec)
+    if any(len(block) != m for block in blocks):
+        raise GroupSpecError(f"header says m={m}, a block of the body has another size")
+    return ZeroSumPartition._sorted(spec, m, blocks)
 
 
 def bijection_to_text(tb: TripleBijection) -> str:

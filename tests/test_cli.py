@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from zsmagic import array_to_text, build_group_kotzig, parse_group_spec
+from zsmagic import array_to_text, build_group_kotzig, parse_group_spec, partition_to_text, zsp
 from zsmagic.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -15,6 +15,7 @@ from zsmagic.cli import (
 K4_GRAPH = "p 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 P3_GRAPH = "p 3\ne 0 1\ne 1 2\n"
 Z2Z6_ARRAY = array_to_text(build_group_kotzig(parse_group_spec("Z2xZ6"), 3))
+Z2Z6_PARTITION = partition_to_text(zsp(parse_group_spec("Z2xZ6"), 4))
 
 
 def run(capsys, *argv):
@@ -249,6 +250,7 @@ class TestVerifyExitCodes:
         "text, code",
         [
             pytest.param(Z2Z6_ARRAY, EXIT_OK, id="valid-array"),
+            pytest.param(Z2Z6_PARTITION, EXIT_OK, id="valid-partition"),
             pytest.param(
                 "report kind=zsp found=false exhausted=true nodes=3\n", EXIT_OK, id="report-not-found"
             ),
@@ -256,6 +258,11 @@ class TestVerifyExitCodes:
             pytest.param("kotzig Z5 j=7 k=5\n", EXIT_INVALID, id="array-without-rows"),
             pytest.param("kotzig-int k=3\n", EXIT_INVALID, id="int-array-without-rows"),
             pytest.param(Z2Z6_ARRAY.replace(" j=3 ", " j=5 "), EXIT_INVALID, id="array-edited-j"),
+            pytest.param(Z2Z6_PARTITION.replace(" m=4", " m=3"), EXIT_INVALID, id="partition-edited-m3"),
+            pytest.param(Z2Z6_PARTITION.replace(" m=4", " m=6"), EXIT_INVALID, id="partition-edited-m6"),
+            pytest.param(
+                "partition-sizes Z2xZ2 sizes=4\n(0,1) (1,0) (1,1)\n", EXIT_INVALID, id="sizes-edited"
+            ),
             pytest.param(
                 "report kind=zsp found=true exhausted=true nodes=3\n", EXIT_INVALID, id="found-without-witness"
             ),

@@ -127,6 +127,18 @@ class TestSearchKotzig:
             search_kotzig("Z4", 2)
 
 
+def _truncated_tetrahedron() -> Graph:
+    # corner (i, j) of triangle i points to triangle j
+    corners = [(i, j) for i in range(4) for j in range(4) if i != j]
+    edges = [(a, b) for a in corners for b in corners if a < b and (a[0] == b[0] or a == b[::-1])]
+    return Graph(12, [(corners.index(a), corners.index(b)) for a, b in edges])
+
+
+def _prism(k: int) -> Graph:
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Graph(2 * k, rims + [(i, k + i) for i in range(k)])
+
+
 class TestSearchLabeling:
     def test_k33_z6_exhausts_empty(self):
         report = search_labeling(complete_bipartite_graph(3, 3), GroupSpec((6,)))
@@ -149,9 +161,23 @@ class TestSearchLabeling:
         report = search_labeling(cube, GroupSpec((8,)))
         assert not report.found and report.exhausted
 
+    @pytest.mark.parametrize(
+        "graph, group, found",
+        [
+            pytest.param(_truncated_tetrahedron(), "Z12", False, id="truncated-tetrahedron-Z12"),
+            pytest.param(_truncated_tetrahedron(), "Z2xZ6", True, id="truncated-tetrahedron-Z2xZ6"),
+            pytest.param(_prism(6), "Z12", False, id="hexagonal-prism-Z12"),
+        ],
+    )
+    def test_order_12_decided(self, graph, group, found):
+        spec = parse_group_spec(group)
+        report = search_labeling(graph, spec)
+        assert report.exhausted and report.found == found
+        assert (obstruction_check(graph, spec).status == "impossible") == (not found)
+
     def test_order_cap(self):
         with pytest.raises(ParameterError):
-            search_labeling(complete_graph(12), GroupSpec((12,)))
+            search_labeling(complete_graph(13), GroupSpec((13,)))
 
 
 class TestConjectureScan:
