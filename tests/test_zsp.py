@@ -1,4 +1,5 @@
 import hashlib
+from itertools import permutations
 
 import pytest
 from conftest import group_specs
@@ -11,6 +12,7 @@ from zsmagic import (
     NonexistenceError,
     ParameterError,
     base_tables,
+    bijection_to_text,
     in_class_g,
     involution_count,
     involution_quadruples,
@@ -150,6 +152,21 @@ class TestTripleBijection:
         for spec in abelian_groups_up_to(48):
             if in_class_g(spec):
                 assert verify_triple_bijection(triple_bijection(spec)).ok, spec
+
+    def test_pinned_bijections(self):
+        # every coordinate order reaches the ladder with another enumeration;
+        # the larger groups reach the quotient liftings, the doubling
+        # construction at depth and the product of three 2-parts
+        orders = {
+            (s.order, p) for s in abelian_groups_up_to(64) if in_class_g(s) for p in permutations(s.factors)
+        }
+        factors = [p for _order, p in sorted(orders)]
+        factors += [(2, 2, 1024), (4, 8, 128), (2, 6, 384), (2, 2, 4, 4, 8), (2,) * 6]
+        assert len(factors) == 207
+        texts = [bijection_to_text(triple_bijection(GroupSpec(f))) for f in factors]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "44500c43a46049461416b96b26208e25fc989df8392f802b390752501ec86002"
+        )
 
 
 class TestVerifyZsp:
