@@ -294,33 +294,35 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 # -- triple bijections: ladder ---------------------------------------------------
 
 
-def _maps_from_tb(tb: TripleBijection) -> tuple[dict, dict]:
+def _phi_from_tb(tb: TripleBijection) -> dict:
     elems = tb.spec.elements()
-    phi = {g: elems[tb.phi[i]] for i, g in enumerate(elems)}
-    psi = {g: elems[tb.psi[i]] for i, g in enumerate(elems)}
-    return phi, psi
+    return {g: elems[p] for g, p in zip(elems, tb.phi)}
 
 
-def _tb_from_maps(spec: GroupSpec, phi: dict, psi: dict) -> TripleBijection:
+def _tb_from_phi(spec: GroupSpec, phi: dict) -> TripleBijection:
+    """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced.
+
+    Every rung of the ladder builds phi alone, a dict on the elements; this
+    is the one place psi is computed.
+    """
     elems = spec.elements()
+    images = [phi[g] for g in elems]
     return TripleBijection(
         spec,
-        tuple(spec.index_of(phi[g]) for g in elems),
-        tuple(spec.index_of(psi[g]) for g in elems),
+        tuple(map(spec.index_of, images)),
+        tuple(spec.index_of(spec.neg(spec.add(g, p))) for g, p in zip(elems, images)),
     )
 
 
-def _odd_order_maps(spec: GroupSpec) -> tuple[dict, dict]:
-    elems = spec.elements()
-    return {g: g for g in elems}, {g: spec.scale(-2, g) for g in elems}
+def _odd_order_phi(spec: GroupSpec) -> dict:
+    return {g: g for g in spec.elements()}
 
 
-def _table_maps(spec: GroupSpec) -> tuple[dict, dict]:
-    """Seed-table maps for any coordinate permutation of (2, 2, 2^k), k <= 3."""
+def _table_phi(spec: GroupSpec) -> dict:
+    """Seed-table phi for any coordinate permutation of (2, 2, 2^k), k <= 3."""
     key = tuple(sorted(spec.factors))
-    table = base_tables()[key]
+    tphi = _phi_from_tb(base_tables()[key])
     sigma = sorted(range(3), key=lambda i: (spec.factors[i], i))
-    tphi, tpsi = _maps_from_tb(table)
 
     def permute(g):
         return tuple(g[sigma[j]] for j in range(3))
@@ -331,18 +333,12 @@ def _table_maps(spec: GroupSpec) -> tuple[dict, dict]:
             out[sigma[j]] = g[j]
         return tuple(out)
 
-    elems = spec.elements()
-    return (
-        {g: unpermute(tphi[permute(g)]) for g in elems},
-        {g: unpermute(tpsi[permute(g)]) for g in elems},
-    )
+    return {g: unpermute(tphi[permute(g)]) for g in spec.elements()}
 
 
-def _product_maps(spec: GroupSpec, pos_a, pos_b) -> tuple[dict, dict]:
-    spec_a = GroupSpec(tuple(spec.factors[i] for i in pos_a))
-    spec_b = GroupSpec(tuple(spec.factors[i] for i in pos_b))
-    phi_a, psi_a = _ladder_maps(spec_a)
-    phi_b, psi_b = _ladder_maps(spec_b)
+def _product_phi(spec: GroupSpec, pos_a, pos_b) -> dict:
+    phi_a = _ladder_phi(GroupSpec(tuple(spec.factors[i] for i in pos_a)))
+    phi_b = _ladder_phi(GroupSpec(tuple(spec.factors[i] for i in pos_b)))
 
     def scatter(ea, eb):
         out = [0] * spec.arity
@@ -352,41 +348,38 @@ def _product_maps(spec: GroupSpec, pos_a, pos_b) -> tuple[dict, dict]:
             out[i] = x
         return tuple(out)
 
-    phi = {}
-    psi = {}
-    for g in spec.elements():
-        ga = tuple(g[i] for i in pos_a)
-        gb = tuple(g[i] for i in pos_b)
-        phi[g] = scatter(phi_a[ga], phi_b[gb])
-        psi[g] = scatter(psi_a[ga], psi_b[gb])
-    return phi, psi
+    return {
+        g: scatter(phi_a[tuple(g[i] for i in pos_a)], phi_b[tuple(g[i] for i in pos_b)])
+        for g in spec.elements()
+    }
 
 
-def _subgroup_maps(spec: GroupSpec, mults) -> tuple[dict, dict]:
-    """Ladder maps of the subgroup H generated by mults[i] * e_i, as maps
+def _subgroup_phi(spec: GroupSpec, mults) -> dict:
+    """Ladder phi of the subgroup H generated by mults[i] * e_i, as a map
     on the elements of H inside ``spec``."""
     sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
 
     def embed(e_sub) -> Element:
         return tuple(x * m for x, m in zip(e_sub, mults))
 
-    return tuple({embed(b): embed(v) for b, v in maps.items()} for maps in _ladder_maps(sub))
+    return {embed(b): embed(v) for b, v in _ladder_phi(sub).items()}
 
 
-def _lift_triples(spec: GroupSpec, sub_maps, reps, phi: dict, psi: dict) -> None:
-    """Fill phi and psi on the cosets r0 + H, r1 + H, r2 + H, where
-    ``reps`` = (r0, r1, r2) sums to zero.
+def _lift_triples(spec: GroupSpec, sub_phi: dict, r0: Element, r1: Element, phi: dict) -> None:
+    """Fill phi on the cosets r0 + H, r1 + H and -(r0 + r1) + H.
 
-    For each b in H, with (phi0, psi0) = ``sub_maps`` a triple bijection
-    of H, (r0 + b, r1 + phi0(b), r2 + psi0(b)) is a zero-sum triple; phi
-    maps each entry to the next one and psi to the one after.
+    ``sub_phi`` is the phi of a triple bijection of H.  For each b in H the
+    triple t0 = r0 + b, t1 = r1 + phi0(b), t2 = -(t0 + t1) sums to zero, and
+    t2 runs over the third coset because -b - phi0(b) = psi0(b) runs over H;
+    phi maps each entry to the next one.
     """
-    phi0, psi0 = sub_maps
-    for b, b1 in phi0.items():
-        t = [spec.add(r, x) for r, x in zip(reps, (b, b1, psi0[b]))]
-        for i in range(3):
-            phi[t[i]] = t[i - 2]
-            psi[t[i]] = t[i - 1]
+    for b, b1 in sub_phi.items():
+        t0 = spec.add(r0, b)
+        t1 = spec.add(r1, b1)
+        t2 = spec.neg(spec.add(t0, t1))
+        phi[t0] = t1
+        phi[t1] = t2
+        phi[t2] = t0
 
 
 def _unit(pos: int, value: int = 1) -> Element:
@@ -395,7 +388,7 @@ def _unit(pos: int, value: int = 1) -> Element:
     return tuple(e)
 
 
-def _quotient22_maps(spec: GroupSpec) -> tuple[dict, dict]:
+def _quotient22_phi(spec: GroupSpec) -> dict:
     """Lift through an index-4 subgroup with quotient Z2 x Z2.
 
     Applies to three-factor 2-groups whose two largest exponents are at
@@ -407,39 +400,35 @@ def _quotient22_maps(spec: GroupSpec) -> tuple[dict, dict]:
     mults = [1, 1, 1]
     mults[pb] = 2
     mults[pc] = 2
-    sub_maps = _subgroup_maps(spec, mults)
-    c = _unit(pb)
-    d = _unit(pc)
-    phi, psi = map(dict, sub_maps)  # copies: the lift reads sub_maps while it fills them
-    _lift_triples(spec, sub_maps, (c, d, spec.neg(spec.add(c, d))), phi, psi)
-    return phi, psi
+    sub_phi = _subgroup_phi(spec, mults)
+    phi = dict(sub_phi)  # a copy: the lift reads sub_phi while it fills phi
+    _lift_triples(spec, sub_phi, _unit(pb), _unit(pc), phi)
+    return phi
 
 
-def _quotient8_maps(spec: GroupSpec) -> tuple[dict, dict]:
+def _quotient8_phi(spec: GroupSpec) -> dict:
     """Lift through an index-8 subgroup with cyclic quotient Z8.
 
     Applies to Z2 x Z2 x Z2^k with k >= 4 (any coordinate order).  The
     quotient splits as {0,4} u {1,2,5} u {7,6,3}; the first part stays
     inside the intermediate subgroup, the two residue triples turn into
-    zero-sum element triples that phi and psi rotate in opposite
-    directions.
+    zero-sum element triples that phi rotates in opposite directions.
     """
     pz = max(range(3), key=lambda i: (spec.factors[i], i))
     mults0 = [1, 1, 1]
     mults0[pz] = 8
     mults1 = [1, 1, 1]
     mults1[pz] = 4
-    sub_maps = _subgroup_maps(spec, mults0)
+    sub_phi = _subgroup_phi(spec, mults0)
     c = _unit(pz, 1)
     d = _unit(pz, 2)
-    reps = (c, d, spec.neg(spec.add(c, d)))
-    phi, psi = _subgroup_maps(spec, mults1)
-    _lift_triples(spec, sub_maps, reps, phi, psi)
-    _lift_triples(spec, sub_maps, tuple(map(spec.neg, reps)), phi, psi)
-    return phi, psi
+    phi = _subgroup_phi(spec, mults1)
+    _lift_triples(spec, sub_phi, c, d, phi)
+    _lift_triples(spec, sub_phi, spec.neg(c), spec.neg(d), phi)
+    return phi
 
 
-def _fibonacci_maps(spec: GroupSpec) -> dict:
+def _fibonacci_phi(spec: GroupSpec) -> dict:
     """phi for Z_m x Z_m: (x, y) -> (y, x + y).
 
     Both the map and its sum with the identity are linear with unit
@@ -449,7 +438,7 @@ def _fibonacci_maps(spec: GroupSpec) -> dict:
     return {g: ((g[1]) % m, (g[0] + g[1]) % m) for g in spec.elements()}
 
 
-def _two_factor_phi(spec: GroupSpec) -> dict:
+def _sorted_two_factor_phi(spec: GroupSpec) -> dict:
     """phi for Z_m x Z_n (m <= n, both powers of 2, m >= 2).
 
     Doubling step: embed H = Z_m x Z_{n/2} as the even second coordinates,
@@ -461,9 +450,9 @@ def _two_factor_phi(spec: GroupSpec) -> dict:
     """
     m, n = spec.factors
     if m == n:
-        return _fibonacci_maps(spec)
+        return _fibonacci_phi(spec)
     sub = GroupSpec((m, n // 2))
-    u = _two_factor_phi(sub)
+    u = _sorted_two_factor_phi(sub)
     in_even_half = {}
     for h in sub.elements():
         t = sub.add(h, u[h])
@@ -486,45 +475,44 @@ def _two_factor_phi(spec: GroupSpec) -> dict:
     return phi
 
 
-def _two_factor_maps(spec: GroupSpec) -> tuple[dict, dict]:
+def _two_factor_phi(spec: GroupSpec) -> dict:
     lo, hi = sorted(range(2), key=lambda i: (spec.factors[i], i))
-    sorted_spec = GroupSpec((spec.factors[lo], spec.factors[hi]))
-    phi_sorted = _two_factor_phi(sorted_spec)
+    phi_sorted = _sorted_two_factor_phi(GroupSpec((spec.factors[lo], spec.factors[hi])))
     step = 1 if lo == 0 else -1  # reverses the coordinates when the larger factor comes first
-    phi = {g: phi_sorted[g[::step]][::step] for g in spec.elements()}
-    return phi, {g: spec.neg(spec.add(g, p)) for g, p in phi.items()}
+    return {g: phi_sorted[g[::step]][::step] for g in spec.elements()}
 
 
-def _ladder_maps(spec: GroupSpec) -> tuple[dict, dict]:
+def _ladder_phi(spec: GroupSpec) -> dict:
     """Strategy ladder on a prime-power presentation known to admit a solution."""
     if spec.order % 2 == 1:
-        return _odd_order_maps(spec)
+        return _odd_order_phi(spec)
     evens = [i for i, f in enumerate(spec.factors) if f % 2 == 0]
     odds = [i for i, f in enumerate(spec.factors) if f % 2 == 1]
     if odds:
-        return _product_maps(spec, evens, odds)
+        return _product_phi(spec, evens, odds)
     # pure 2-group
     k = len(spec.factors)
     if k >= 4:
-        return _product_maps(spec, [0, 1], list(range(2, k)))
+        return _product_phi(spec, [0, 1], list(range(2, k)))
     if k == 3:
         exps = sorted(f.bit_length() - 1 for f in spec.factors)
         if exps[0] == 1 and exps[1] == 1 and exps[2] <= 3:
-            return _table_maps(spec)
+            return _table_phi(spec)
         if exps[1] >= 2:
-            return _quotient22_maps(spec)
-        return _quotient8_maps(spec)
-    return _two_factor_maps(spec)
+            return _quotient22_phi(spec)
+        return _quotient8_phi(spec)
+    return _two_factor_phi(spec)
 
 
 def triple_bijection(spec: GroupSpec) -> TripleBijection:
-    """Build a verified triple bijection for any group of odd order or with
-    more than one involution.
+    """Build a triple bijection for any group of odd order or with more
+    than one involution; callers verify it (the CLI does).
 
     Strategy order: odd-order closed form, componentwise product of two
     admissible parts, seed tables, the two quotient liftings, the
-    two-factor doubling construction.  Mixed cyclic factors are refined to
-    prime powers internally and the result is translated back to the given
+    two-factor doubling construction.  Each rung builds phi only, since
+    psi(g) = -g - phi(g) is forced.  Mixed cyclic factors are refined to
+    prime powers internally and phi is translated back to the given
     presentation.
     """
     if not in_class_g(spec):
@@ -533,14 +521,13 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
             "involution and no triple bijection exists"
         )
     if spec.order % 2 == 1:
-        return _tb_from_maps(spec, *_odd_order_maps(spec))
+        return _tb_from_phi(spec, _odd_order_phi(spec))
     ref = prime_power_refinement(spec)
-    phi, psi = _ladder_maps(ref.refined)
+    phi = _ladder_phi(ref.refined)
     if ref.refined != spec:
         back = {r: ref.from_refined(r) for r in phi}
         phi = {back[r]: back[v] for r, v in phi.items()}
-        psi = {back[r]: back[v] for r, v in psi.items()}
-    return _tb_from_maps(spec, phi, psi)
+    return _tb_from_phi(spec, phi)
 
 
 # -- equal-size zero-sum partitions ---------------------------------------------
