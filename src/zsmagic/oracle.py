@@ -8,14 +8,21 @@ total-sum feasibility check at the root) and to the labeling normal form
 below, so ``found=False`` together with ``exhausted=True`` is a proof of
 nonexistence.
 
-Two kernels carry the partition and array searches: the sized-block
-kernel (zero-sum blocks with a given multiset of sizes, run by
+Two kernels carry the partition, array and bijection searches: the
+sized-block kernel (zero-sum blocks with a given multiset of sizes, run by
 ``search_zsp`` and ``conjecture_scan``) and the grid kernel (Kotzig arrays
 filled column by column from a step table and a forced-cell table, run by
-both modes of ``search_kotzig``).  A node is one choice the search commits
+both modes of ``search_kotzig`` and by ``search_triple_bijection``: a
+triple bijection is the 3-row grid with column sum 0, phi its middle row
+and psi its forced last row).  A node is one choice the search commits
 to: an anchor with the size of the block it opens, a free element or a
 forced element; budgets cap nodes.  ``search_zsp`` opens its first block
-on the identity without a choice, so that anchor is not a node.
+on the identity without a choice, so that anchor is not a node.  The grid
+kernel looks one row ahead: in the row before the last it skips, without
+a node, a free value whose forced last cell is impossible or already
+used.  That is the last row's own test made one level earlier, so it
+removes only branches no completion can use, and proofs and least
+witnesses are unchanged.
 
 Witnesses are deterministic: the least solution in the documented search
 order (element enumeration order, grids scanned per column sum then
@@ -75,8 +82,8 @@ from .zsp import (
 DEFAULT_BUDGET = 10**7
 
 ZSP_ORDER_CAP = 24
-BIJECTION_ORDER_CAP = 16
 KOTZIG_CELL_CAP = 48
+BIJECTION_ORDER_CAP = KOTZIG_CELL_CAP // 3  # a bijection is a 3-row grid
 LABELING_ORDER_CAP = 12
 CONJECTURE_ORDER_CAP = 24
 
@@ -233,15 +240,16 @@ def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchR
     )
 
 
-# -- triple bijection search ----------------------------------------------------
+# -- grid kernel: Kotzig arrays and triple bijections --------------------------------
 
 
 def search_triple_bijection(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for permutations with g + phi(g) + psi(g) = 0.
 
-    Backtracks over phi values in enumeration order with psi forced to
-    -g - phi(g) and pruned on injectivity; the root is pruned when three
-    times the total element sum cannot vanish.
+    A triple bijection is a 3 x n group Kotzig array with column sum 0:
+    row 0 is the enumeration, row 1 is phi and row 2 is psi, forced to
+    -g - phi(g).  The grid kernel fills phi in enumeration order; the root
+    is pruned when three times the total element sum cannot vanish.
     """
     if spec.order > BIJECTION_ORDER_CAP:
         raise ParameterError(
@@ -250,42 +258,15 @@ def search_triple_bijection(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> Se
     if spec.scale(3, sum_all(spec)) != spec.identity():
         return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
-    n = len(elems)
-    tracker = _Budget(budget)
-    phi = [-1] * n
-    psi = [-1] * n
-    used_phi = [False] * n
-    used_psi = [False] * n
-
-    def extend(g: int) -> bool:
-        if g == n:
-            return True
-        for v in range(n):
-            if used_phi[v]:
-                continue
-            w = neg[add[g][v]]
-            if used_psi[w]:
-                continue
-            tracker.spend()
-            phi[g] = v
-            psi[g] = w
-            used_phi[v] = True
-            used_psi[w] = True
-            if extend(g + 1):
-                return True
-            used_phi[v] = False
-            used_psi[w] = False
-        return False
-
-    return _settle(
-        tracker,
-        lambda: extend(0),
-        lambda: TripleBijection(spec, tuple(phi), tuple(psi)),
+    return _search_grid(
+        3,
+        len(elems),
+        add,
+        [neg],
+        lambda grid: TripleBijection(spec, tuple(grid[1]), tuple(grid[2])),
         verify_triple_bijection,
+        budget,
     )
-
-
-# -- grid kernel: Kotzig arrays over a group or over 0..k-1 -------------------------
 
 
 def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -303,14 +284,22 @@ def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
     raise ParameterError(f"target must be a GroupSpec or an integer, got {target!r}")
 
 
-def _search_grid(j: int, k: int, step, forced_tables, witness_of, budget: int) -> SearchReport:
+def _search_grid(
+    j: int, k: int, step, forced_tables, witness_of, check, budget: int
+) -> SearchReport:
     """Column-major backtracking over a j x k grid of values 0..k-1.
 
     Row 0 is 0..k-1 and every row is a permutation.  A column's running
     total s becomes ``step[s][v]`` when value v joins it.  Each table in
     ``forced_tables`` is tried in turn: ``forced[s]`` is the last cell of a
     column with total s, or -1 when no value completes it.  ``witness_of``
-    turns the filled grid into the array that ``verify_kotzig`` checks.
+    turns the filled grid into the object that ``check`` verifies.
+
+    Look-ahead: in the row just before the last, a free value whose forced
+    last cell is -1 or already used in the last row is skipped without
+    spending a node.  That is the last row's own test made one level
+    earlier; no completion of the column can use such a value, so an
+    exhausted search is still a proof and the least witness is unchanged.
     """
     tracker = _Budget(budget)
     grid = [list(range(k))] + [[-1] * k for _ in range(j - 1)]
@@ -331,13 +320,17 @@ def _search_grid(j: int, k: int, step, forced_tables, witness_of, budget: int) -
                 return True
             used[r][value] = False
             return False
+        ahead = used[last] if r + 1 == last else None
         for v in range(k):
             if used[r][v]:
+                continue
+            total = step[colsum][v]
+            if ahead is not None and (forced[total] < 0 or ahead[forced[total]]):
                 continue
             tracker.spend()
             grid[r][c] = v
             used[r][v] = True
-            if fill(forced, c, r + 1, step[colsum][v]):
+            if fill(forced, c, r + 1, total):
                 return True
             used[r][v] = False
         return False
@@ -347,7 +340,7 @@ def _search_grid(j: int, k: int, step, forced_tables, witness_of, budget: int) -
         # a single row is a permutation, so its columns agree only when k = 1
         lambda: k == 1 if j == 1 else any(fill(f, 0, 1, grid[0][0]) for f in forced_tables),
         lambda: witness_of(grid),
-        verify_kotzig,
+        check,
     )
 
 
@@ -368,6 +361,7 @@ def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
         # one pass per common column sum mu; a column with total s closes on mu - s
         ([add[neg[s]][mu] for s in range(k)] for mu in range(k)),
         lambda grid: GroupKotzigArray(spec, tuple(tuple(elems[i] for i in row) for row in grid)),
+        verify_kotzig,
         budget,
     )
 
@@ -386,7 +380,13 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
     step = [[s + v for v in range(k)] for s in totals]
     forced = [mu - s if 0 <= mu - s < k else -1 for s in totals]
     return _search_grid(
-        j, k, step, [forced], lambda grid: IntKotzigArray(k, tuple(map(tuple, grid))), budget
+        j,
+        k,
+        step,
+        [forced],
+        lambda grid: IntKotzigArray(k, tuple(map(tuple, grid))),
+        verify_kotzig,
+        budget,
     )
 
 
