@@ -340,8 +340,8 @@ _SWEEPS = {
     [
         ("zsp", 1170, "60c8c25c9007598e3756028bcafd5f7d3be2b8447a25da2ef37f30de6de59d95"),
         ("scan", 689, "fed8655840dddd4fa75b85924c36b92cf04cd32d31e9b5a5db92ab00c74d5abc"),
-        ("kotzig", 1083, "20ac08719a9c80e9ba68ccb540ef033c0b88cd4b0818e79f058500bebc25f28a"),
-        ("bijection", 56, "5cc26cdd06ace039010d435d4452787dd36678953ccf426c97114b48e2510072"),
+        ("kotzig", 1083, "e4ffed883c432ac7410f9117d60930f279cc60191360a4835252ee6bb2ef53b2"),
+        ("bijection", 56, "fe0c6a8c410baee71e05d5cdcad7363fc2ce3877a46a01c31346e8377d00547f"),
         ("labeling", 95, "a34ecc4e5cc78ef34dfc4a544871d19e5cf49d179dfc6c84eeb8bd7b7ed573fb"),
     ],
 )
