@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import GroupSpecError, NonexistenceError, ParameterError
 from .groups import (
+    DEFAULT_ORDER_BOUND,
     Element,
     GroupSpec,
     certificate_lines,
@@ -34,7 +35,7 @@ OBSTRUCTION_ODD_DEGREES_ORDER_2_MOD_4 = "odd-degrees-order-2-mod-4"
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with sorted adjacency."""
 
-    def __init__(self, n: int, edges=(), bipartition=None):
+    def __init__(self, n: int, edges=()):
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         self.n = n
@@ -49,10 +50,6 @@ class Graph:
             adj[v].add(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self.degrees: tuple[int, ...] = tuple(len(a) for a in self.adj)
-        self._given_bipartition = None
-        if bipartition is not None:
-            v1, v2 = (frozenset(bipartition[0]), frozenset(bipartition[1]))
-            self._given_bipartition = (v1, v2)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -105,24 +102,11 @@ class Graph:
             components.append(comp)
         return components
 
-    def _is_valid_two_coloring(self, v1: frozenset, v2: frozenset) -> bool:
-        if v1 & v2 or (v1 | v2) != set(range(self.n)):
-            return False
-        for u, v in self.edges():
-            if (u in v1) == (v in v1):
-                return False
-        return True
-
     def bipartition(self):
-        """A valid (V1, V2) as sorted tuples, or None if not bipartite.
+        """A proper 2-coloring (V1, V2) as sorted tuples, or None if not bipartite.
 
-        A supplied bipartition is used when it is a proper 2-coloring and
-        recomputed by BFS otherwise.
+        Each component's BFS root goes to V1.
         """
-        if self._given_bipartition is not None:
-            v1, v2 = self._given_bipartition
-            if self._is_valid_two_coloring(v1, v2):
-                return (tuple(sorted(v1)), tuple(sorted(v2)))
         comps = self._bfs_components()
         if comps is None:
             return None
@@ -140,7 +124,7 @@ class Graph:
     def balanced_bipartition(self):
         """A proper 2-coloring with equal sides, or None.
 
-        A balanced supplied bipartition wins; otherwise component sides
+        The BFS bipartition wins when balanced; otherwise component sides
         are swapped (subset-sum over components) to reach n/2.
         """
         if self.n % 2 != 0:
@@ -202,7 +186,7 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     edges = [(u, a + v) for u in range(a) for v in range(b)]
-    return Graph(a + b, edges, bipartition=(range(a), range(a, a + b)))
+    return Graph(a + b, edges)
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:
@@ -426,6 +410,11 @@ def graph_from_text(text: str) -> Graph:
                 if n is not None:
                     raise GroupSpecError(f"line {lineno}: duplicate vertex-count line")
                 n = int(parts[1])
+                # every graph meets a group of its order, and groups are enumerated up to this bound
+                if n > DEFAULT_ORDER_BOUND:
+                    raise GroupSpecError(
+                        f"line {lineno}: vertex count {n} exceeds the bound {DEFAULT_ORDER_BOUND}"
+                    )
             elif parts[0] == "e" and len(parts) == 3:
                 if n is None:
                     raise GroupSpecError(f"line {lineno}: edge before vertex-count line")

@@ -295,6 +295,7 @@ class TestVerifyExitCodes:
             pytest.param(P3_GRAPH, EXIT_REJECT, id="valid-graph"),
             pytest.param("p x\ne 0 1\ne 1 2\n", EXIT_INVALID, id="graph-count-not-integer"),
             pytest.param("p 3\ne 0 y\ne 1 2\n", EXIT_INVALID, id="graph-edge-not-integer"),
+            pytest.param("p 1048577\n", EXIT_INVALID, id="graph-count-above-bound"),
         ],
     )
     def test_graph_table(self, capsys, tmp_path, graph, code):

@@ -44,12 +44,12 @@ class TestGraphModel:
         assert not path_graph(3).is_regular
 
     def test_bipartition_recomputed_when_inconsistent(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], bipartition=({0, 1}, {2, 3}))
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         v1, v2 = g.bipartition()
         assert set(v1) in ({0, 2}, {1, 3})
 
-    def test_valid_supplied_bipartition_kept(self):
-        g = Graph(4, [(0, 2), (1, 3)], bipartition=({0, 1}, {2, 3}))
+    def test_component_roots_on_first_side(self):
+        g = Graph(4, [(0, 2), (1, 3)])
         assert g.bipartition() == ((0, 1), (2, 3))
 
     def test_odd_cycle_not_bipartite(self):

@@ -30,6 +30,7 @@ from zsmagic import (
     zsp,
 )
 from zsmagic.errors import ZsmagicError
+from zsmagic.groups import DEFAULT_ORDER_BOUND
 from zsmagic.oracle import (
     conjecture_scan,
     report_from_text,
@@ -109,6 +110,11 @@ class TestGraphText:
     def test_edge_before_header(self):
         with pytest.raises(GroupSpecError):
             graph_from_text("e 0 1\np 2\n")
+
+    def test_vertex_count_bounded(self):
+        # refused before any adjacency set is allocated
+        with pytest.raises(GroupSpecError, match="exceeds the bound"):
+            graph_from_text(f"p {DEFAULT_ORDER_BOUND + 1}\n")
 
 
 class TestLabelingText:
