@@ -257,16 +257,12 @@ def search_triple_bijection(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> Se
         )
     if spec.scale(3, sum_all(spec)) != spec.identity():
         return SearchReport(False, True, 0)
-    elems, add, neg = _tables(spec)
-    return _search_grid(
-        3,
-        len(elems),
-        add,
-        [neg],
-        lambda grid: TripleBijection(spec, tuple(grid[1]), tuple(grid[2])),
-        verify_triple_bijection,
-        budget,
-    )
+    _elems, add, neg = _tables(spec)
+
+    def bijection_of(grid):
+        return TripleBijection(spec, tuple(grid[1]), tuple(grid[2]))
+
+    return _search_grid(3, spec.order, add, [neg], bijection_of, verify_triple_bijection, budget)
 
 
 def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -379,15 +375,11 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
     totals = range((j - 1) * (k - 1) + 1)
     step = [[s + v for v in range(k)] for s in totals]
     forced = [mu - s if 0 <= mu - s < k else -1 for s in totals]
-    return _search_grid(
-        j,
-        k,
-        step,
-        [forced],
-        lambda grid: IntKotzigArray(k, tuple(map(tuple, grid))),
-        verify_kotzig,
-        budget,
-    )
+
+    def array_of(grid):
+        return IntKotzigArray(k, tuple(map(tuple, grid)))
+
+    return _search_grid(j, k, step, [forced], array_of, verify_kotzig, budget)
 
 
 # -- magic labeling search --------------------------------------------------------
