@@ -307,11 +307,9 @@ def _tb_from_phi(spec: GroupSpec, phi: dict) -> TripleBijection:
     """
     elems = spec.elements()
     images = [phi[g] for g in elems]
-    return TripleBijection(
-        spec,
-        tuple(map(spec.index_of, images)),
-        tuple(spec.index_of(spec.neg(spec.add(g, p))) for g, p in zip(elems, images)),
-    )
+    index = spec.index_of  # reduces each coordinate, so -g - phi(g) is passed unreduced
+    psi = [index([-x - y for x, y in zip(g, p)]) for g, p in zip(elems, images)]
+    return TripleBijection(spec, tuple(map(index, images)), tuple(psi))
 
 
 def _odd_order_phi(spec: GroupSpec) -> dict:
