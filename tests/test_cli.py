@@ -11,11 +11,15 @@ from zsmagic.cli import (
     EXIT_REJECT,
     main,
 )
+from zsmagic.oracle import conjecture_scan, report_to_text, sized_partition_to_text
 
 K4_GRAPH = "p 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 P3_GRAPH = "p 3\ne 0 1\ne 1 2\n"
+C4_GRAPH = "p 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n"
+C6_GRAPH = "p 6\n" + "".join(f"e {v} {(v + 1) % 6}\n" for v in range(6))
 Z2Z6_ARRAY = array_to_text(build_group_kotzig(parse_group_spec("Z2xZ6"), 3))
 Z2Z6_PARTITION = partition_to_text(zsp(parse_group_spec("Z2xZ6"), 4))
+SIZED_REPORT = conjecture_scan(parse_group_spec("Z2xZ2xZ2"), (3, 4))
 
 
 def run(capsys, *argv):
@@ -117,6 +121,26 @@ class TestLabel:
         code, out, _ = run(capsys, "verify", str(cert), "--graph", str(graph))
         assert code == EXIT_REJECT
         assert out.startswith("reject")
+
+    @pytest.mark.parametrize(
+        "kind, graph, n, group",
+        [
+            pytest.param("even", K4_GRAPH, "2", "Z8", id="even-K4"),
+            pytest.param("eulerian", C6_GRAPH, "3", "Z3xZ6", id="eulerian-C6"),
+        ],
+    )
+    def test_other_labelers_end_to_end(self, capsys, tmp_path, kind, graph, n, group):
+        base = tmp_path / "base.graph"
+        base.write_text(graph)
+        product = tmp_path / "product.graph"
+        code, out, _ = run(capsys, "label", kind, str(base), n, group, "--emit-graph", str(product))
+        assert code == EXIT_OK
+        assert "# status: magic" in out
+        cert = tmp_path / "l.cert"
+        cert.write_text(out)
+        code, out, _ = run(capsys, "verify", str(cert), "--graph", str(product))
+        assert code == EXIT_OK
+        assert out == "accept: labeling\n"
 
 
 class TestSearchAndScan:
@@ -309,3 +333,42 @@ class TestVerifyExitCodes:
             assert err.startswith("error (invalid-input)") and "invalid literal" not in err
         else:
             assert out.startswith("reject")
+
+
+class TestVerifyFoundReports:
+    """A found report is verified through the certificate it carries."""
+
+    def _verify(self, capsys, tmp_path, text, *extra):
+        cert = tmp_path / "r.cert"
+        cert.write_text(text)
+        return run(capsys, "verify", str(cert), *extra)
+
+    def test_zsp_report(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "search", "zsp", "Z9", "3")
+        assert out.startswith("report kind=zsp found=true")
+        assert self._verify(capsys, tmp_path, out)[:2] == (EXIT_OK, "accept: partition\n")
+
+    def test_sized_partition_report(self, capsys, tmp_path):
+        text = report_to_text(SIZED_REPORT, "sized-partition")
+        assert self._verify(capsys, tmp_path, text)[:2] == (EXIT_OK, "accept: partition-sizes\n")
+
+    def test_labeling_report_with_and_without_graph(self, capsys, tmp_path):
+        graph = tmp_path / "c4.graph"
+        graph.write_text(C4_GRAPH)
+        _, out, _ = run(capsys, "search", "labeling", str(graph), "Z4")
+        assert out.startswith("report kind=labeling found=true")
+        code, text, _ = self._verify(capsys, tmp_path, out)
+        assert (code, text) == (EXIT_OK, "accept: labeling (bijection onto the group (no graph supplied))\n")
+        code, text, _ = self._verify(capsys, tmp_path, out, "--graph", str(graph))
+        assert (code, text) == (EXIT_OK, "accept: labeling\n")
+
+    def test_sized_partition_certificate(self, capsys, tmp_path):
+        text = sized_partition_to_text(*SIZED_REPORT.witness)
+        assert self._verify(capsys, tmp_path, text)[:2] == (EXIT_OK, "accept: partition-sizes\n")
+        # swap one element between the two blocks: the sizes still match, the sums do not
+        header, first, second = text.splitlines()
+        a, b = first.split()[0], second.split()[0]
+        edited = "\n".join([header, first.replace(a, b, 1), second.replace(b, a, 1)]) + "\n"
+        code, out, _ = self._verify(capsys, tmp_path, edited)
+        assert code == EXIT_REJECT
+        assert out.startswith("reject: partition-sizes (block 0 sums to")

@@ -22,9 +22,12 @@ from zsmagic import (
     labeling_to_text,
     lex_product,
     blowup_label,
+    ParameterError,
     parse_group_spec,
     partition_from_text,
     partition_to_text,
+    search_kotzig,
+    search_labeling,
     search_zsp,
     triple_bijection,
     zsp,
@@ -32,6 +35,7 @@ from zsmagic import (
 from zsmagic.errors import ZsmagicError
 from zsmagic.groups import DEFAULT_ORDER_BOUND
 from zsmagic.oracle import (
+    SearchReport,
     conjecture_scan,
     report_from_text,
     report_to_text,
@@ -157,6 +161,28 @@ class TestReportText:
         assert kind == "bijection"
         assert not parsed.found and parsed.exhausted
         assert parsed.witness is None
+
+    @pytest.mark.parametrize(
+        "kind, search",
+        [
+            ("zsp", lambda: search_zsp(GroupSpec((9,)), 3)),
+            ("bijection", lambda: search_triple_bijection(GroupSpec((2, 2)))),
+            ("kotzig", lambda: search_kotzig(GroupSpec((2, 2)), 3)),
+            ("kotzig-int", lambda: search_kotzig(3, 3)),
+            ("labeling", lambda: search_labeling(cycle_graph(4), GroupSpec((4,)))),
+            ("sized-partition", lambda: conjecture_scan(GroupSpec((2, 2, 2)), (3, 4))),
+        ],
+    )
+    def test_kind_inferred_from_witness(self, kind, search):
+        report = search()
+        text = report_to_text(report)
+        assert text.startswith(f"report kind={kind} found=true ")
+        assert text == report_to_text(report, kind)
+        assert report_from_text(text) == (kind, report)
+
+    def test_unknown_witness_type(self):
+        with pytest.raises(ParameterError, match="unknown witness type"):
+            report_to_text(SearchReport(True, True, 0, object()))
 
 
 def _pinned_texts():
