@@ -192,11 +192,10 @@ def _verify_payload(text: str, graph_path: str | None):
         check = oracle.verify_sized_partition(spec, blocks, sizes)
         return "partition-sizes", bool(check.ok), check.reason
     if kind == "report":
-        rkind, report = oracle.report_from_text(text)
+        _kind, report = oracle.report_from_text(text)
         if not report.found:
             return "report", True, "no witness to check"
-        body = oracle.report_to_text(report, rkind).split("\n", 1)[1]
-        return _verify_payload(body, graph_path)
+        return _verify_payload("\n".join(lines[1:]), graph_path)
     raise ParameterError(f"unrecognised certificate kind {kind!r}")
 
 

@@ -9,17 +9,16 @@ and ``obstruction_check`` the two parity obstructions.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
-from .errors import GroupSpecError, NonexistenceError, ParameterError
+from .errors import GroupSpecError, ParameterError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSpec,
     certificate_lines,
     format_element,
-    in_class_g,
     involution_count,
     parse_element,
     parse_group_spec,
@@ -39,7 +38,8 @@ class Graph:
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
+        # only vertices with an edge get a set; isolated ones share the empty tuple
+        adj: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
@@ -48,11 +48,10 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u} not allowed")
             adj[u].add(v)
             adj[v].add(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(adj.get(v, ()))) for v in range(n)
+        )
         self.degrees: tuple[int, ...] = tuple(len(a) for a in self.adj)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def edges(self):
         for u in range(self.n):
@@ -282,16 +281,20 @@ def obstruction_check(g: Graph, spec: GroupSpec) -> Verdict:
 # -- labelers ----------------------------------------------------------------------
 
 
-def blowup_label(g: Graph, n: int, spec: GroupSpec) -> Labeling:
-    """Label g o K̄_n by one zero-sum block per fiber; every weight is the
-    identity, for any base graph g."""
-    if n < 3:
-        raise ParameterError(f"fiber size must be at least 3, got {n}")
+def _check_blowup_order(g: Graph, n: int, spec: GroupSpec) -> None:
     if spec.order != n * g.n:
         raise ParameterError(
             f"group order {spec.order} does not equal fiber size {n} times "
             f"graph order {g.n}"
         )
+
+
+def blowup_label(g: Graph, n: int, spec: GroupSpec) -> Labeling:
+    """Label g o K̄_n by one zero-sum block per fiber; every weight is the
+    identity, for any base graph g."""
+    if n < 3:
+        raise ParameterError(f"fiber size must be at least 3, got {n}")
+    _check_blowup_order(g, n, spec)
     partition = zsp(spec, n)
     assignment: list[Element] = []
     for block in partition.blocks:
@@ -310,11 +313,7 @@ def blowup_even_label(g: Graph, n2: int, spec: GroupSpec) -> Labeling:
         raise ParameterError("the base graph must be regular")
     if n2 % 2 != 0 or n2 < 2:
         raise ParameterError(f"fiber size must be even and >= 2, got {n2}")
-    if spec.order != n2 * g.n:
-        raise ParameterError(
-            f"group order {spec.order} does not equal fiber size {n2} times "
-            f"graph order {g.n}"
-        )
+    _check_blowup_order(g, n2, spec)
     elems = spec.elements()
     doubled = {spec.scale(2, e) for e in elems}
     s = next((e for e in elems if e not in doubled), None)
@@ -347,11 +346,7 @@ def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
         raise ParameterError(f"base graph order {g.n} is not 2 mod 4")
     if not g.all_degrees_even:
         raise ParameterError("base graph must have all degrees even")
-    if spec.order != n_odd * g.n:
-        raise ParameterError(
-            f"group order {spec.order} does not equal fiber size {n_odd} times "
-            f"graph order {g.n}"
-        )
+    _check_blowup_order(g, n_odd, spec)
     bip = g.balanced_bipartition()
     if bip is None:
         raise ParameterError("base graph has no bipartition with equal sides")

@@ -103,11 +103,11 @@ class GroupSpec:
 
     # -- enumeration --------------------------------------------------------
 
-    def elements(self, *, max_order: int = DEFAULT_ORDER_BOUND) -> list[Element]:
+    def elements(self) -> list[Element]:
         """All elements in mixed-radix (enumeration) order."""
-        if self.order > max_order:
+        if self.order > DEFAULT_ORDER_BOUND:
             raise ParameterError(
-                f"group order {self.order} exceeds enumeration bound {max_order}"
+                f"group order {self.order} exceeds enumeration bound {DEFAULT_ORDER_BOUND}"
             )
         return [tuple(c) for c in _cartesian(*(range(f) for f in self.factors))]
 
@@ -132,10 +132,13 @@ def parse_group_spec(text: str) -> GroupSpec:
     """Parse ``Z<n>`` factors joined by ``x``, e.g. ``Z2xZ2xZ4``.
 
     Case-insensitive and whitespace-free; a parse error names the
-    offending token.
+    offending token.  ``Z1`` alone is the trivial group, as ``str`` prints
+    it; as a factor of a product it is refused.
     """
     if not isinstance(text, str) or not text:
         raise GroupSpecError("empty group spec")
+    if text in ("Z1", "z1"):
+        return GroupSpec(())
     factors = []
     for token in text.split("x"):
         m = _TOKEN_RE.fullmatch(token)
@@ -372,17 +375,17 @@ def two_part_split(spec: GroupSpec) -> TwoPartSplit:
 # -- isomorphism class enumeration --------------------------------------------
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    """Integer partitions of n, parts non-increasing."""
-    if n == 0:
-        return [()]
-    out = []
+def _partitions(n: int, least: int) -> list[tuple[int, ...]]:
+    """Integer partitions of n into parts >= least, parts non-increasing."""
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, cap: int, acc: list[int]) -> None:
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for part in range(min(remaining, cap), 0, -1):
+        for part in range(min(remaining, cap), least - 1, -1):
+            if 0 < remaining - part < least:
+                continue
             acc.append(part)
             rec(remaining - part, part, acc)
             acc.pop()
@@ -403,7 +406,7 @@ def abelian_isomorphism_classes(order: int) -> list[GroupSpec]:
         return [GroupSpec(())]
     per_prime = []
     for p, e in _factorize(order):
-        per_prime.append([tuple(sorted(p**k for k in part)) for part in _partitions(e)])
+        per_prime.append([tuple(sorted(p**k for k in part)) for part in _partitions(e, 1)])
     specs = []
     for combo in _cartesian(*per_prime):
         factors: list[int] = []

@@ -25,8 +25,11 @@ removes only branches no completion can use, and proofs and least
 witnesses are unchanged.
 
 Witnesses are deterministic: the least solution in the documented search
-order (element enumeration order, grids scanned per column sum then
-column-major, labelings by vertex index).
+order (element enumeration order, grids column-major, labelings by vertex
+index).  Group grids are searched at column sum 0 only: adding c to every
+cell of row 1 keeps that row a permutation and adds c to every column sum,
+so an array with some common column sum exists exactly when one with sum
+0 does.
 
 Labeling normal form: S is the maps sigma(x) = u*x + c, u a unit modulo
 the exponent, c with (deg x - deg y)*c = 0 for all vertices x, y.  Vertex
@@ -50,6 +53,7 @@ from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verif
 from .groups import (
     Element,
     GroupSpec,
+    _partitions,
     abelian_groups_up_to,
     certificate_lines,
     format_element,
@@ -255,14 +259,11 @@ def search_triple_bijection(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> Se
         raise ParameterError(
             f"exhaustive bijection search capped at order {BIJECTION_ORDER_CAP}"
         )
-    if spec.scale(3, sum_all(spec)) != spec.identity():
-        return SearchReport(False, True, 0)
-    _elems, add, neg = _tables(spec)
 
     def bijection_of(grid):
         return TripleBijection(spec, tuple(grid[1]), tuple(grid[2]))
 
-    return _search_grid(3, spec.order, add, [neg], bijection_of, verify_triple_bijection, budget)
+    return _search_group_grid(spec, 3, bijection_of, verify_triple_bijection, budget)
 
 
 def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -280,16 +281,14 @@ def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
     raise ParameterError(f"target must be a GroupSpec or an integer, got {target!r}")
 
 
-def _search_grid(
-    j: int, k: int, step, forced_tables, witness_of, check, budget: int
-) -> SearchReport:
+def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -> SearchReport:
     """Column-major backtracking over a j x k grid of values 0..k-1.
 
     Row 0 is 0..k-1 and every row is a permutation.  A column's running
-    total s becomes ``step[s][v]`` when value v joins it.  Each table in
-    ``forced_tables`` is tried in turn: ``forced[s]`` is the last cell of a
-    column with total s, or -1 when no value completes it.  ``witness_of``
-    turns the filled grid into the object that ``check`` verifies.
+    total s becomes ``step[s][v]`` when value v joins it, and ``forced[s]``
+    is the last cell of a column with total s, or -1 when no value
+    completes it.  ``witness_of`` turns the filled grid into the object
+    that ``check`` verifies.
 
     Look-ahead: in the row just before the last, a free value whose forced
     last cell is -1 or already used in the last row is skipped without
@@ -302,7 +301,7 @@ def _search_grid(
     used = [[False] * k for _ in range(j)]
     last = j - 1
 
-    def fill(forced, c: int, r: int, colsum: int) -> bool:
+    def fill(c: int, r: int, colsum: int) -> bool:
         if r == last:
             value = forced[colsum]
             if value < 0 or used[r][value]:
@@ -312,7 +311,7 @@ def _search_grid(
             used[r][value] = True
             if c + 1 == k:
                 return True
-            if fill(forced, c + 1, 1, grid[0][c + 1]):
+            if fill(c + 1, 1, grid[0][c + 1]):
                 return True
             used[r][value] = False
             return False
@@ -326,7 +325,7 @@ def _search_grid(
             tracker.spend()
             grid[r][c] = v
             used[r][v] = True
-            if fill(forced, c, r + 1, total):
+            if fill(c, r + 1, total):
                 return True
             used[r][v] = False
         return False
@@ -334,32 +333,33 @@ def _search_grid(
     return _settle(
         tracker,
         # a single row is a permutation, so its columns agree only when k = 1
-        lambda: k == 1 if j == 1 else any(fill(f, 0, 1, grid[0][0]) for f in forced_tables),
+        lambda: k == 1 if j == 1 else fill(0, 1, grid[0][0]),
         lambda: witness_of(grid),
         check,
     )
 
 
 def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
-    k = spec.order
     if j < 1:
         raise ParameterError(f"row count must be positive, got {j}")
-    if j * k > KOTZIG_CELL_CAP:
+    if j * spec.order > KOTZIG_CELL_CAP:
         raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
-    # the grid total is j * (sum of all elements) and also k * mu = identity
+
+    def array_of(grid):
+        return GroupKotzigArray(spec, tuple(tuple(map(spec.element_at, row)) for row in grid))
+
+    return _search_group_grid(spec, j, array_of, verify_kotzig, budget)
+
+
+def _search_group_grid(spec: GroupSpec, j: int, witness_of, check, budget: int) -> SearchReport:
+    """The grid kernel over a group at column sum 0, which loses no array
+    (module docstring).  The grid total j * sum_all(spec) is also k * mu = 0,
+    so the root is pruned when it does not vanish."""
     if spec.scale(j, sum_all(spec)) != spec.identity():
         return SearchReport(False, True, 0)
-    elems, add, neg = _tables(spec)
-    return _search_grid(
-        j,
-        k,
-        add,
-        # one pass per common column sum mu; a column with total s closes on mu - s
-        ([add[neg[s]][mu] for s in range(k)] for mu in range(k)),
-        lambda grid: GroupKotzigArray(spec, tuple(tuple(elems[i] for i in row) for row in grid)),
-        verify_kotzig,
-        budget,
-    )
+    _elems, add, neg = _tables(spec)
+    # a column with total s closes on -s
+    return _search_grid(j, spec.order, add, neg, witness_of, check, budget)
 
 
 def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
@@ -379,7 +379,7 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
     def array_of(grid):
         return IntKotzigArray(k, tuple(map(tuple, grid)))
 
-    return _search_grid(j, k, step, [forced], array_of, verify_kotzig, budget)
+    return _search_grid(j, k, step, forced, array_of, verify_kotzig, budget)
 
 
 # -- magic labeling search --------------------------------------------------------
@@ -529,25 +529,6 @@ def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> Sea
     )
 
 
-def _sized_partitions(total: int, min_part: int = 3):
-    """Partitions of ``total`` into parts >= min_part, non-increasing."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, cap: int, acc: list[int]) -> None:
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, cap), min_part - 1, -1):
-            if remaining - part != 0 and remaining - part < min_part:
-                continue
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return out
-
-
 def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
     """Run conjecture_scan over every qualifying group up to ``max_order``
     and every multiset of block sizes; yields (spec, sizes, report).
@@ -567,7 +548,7 @@ def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
             )
         specs.append(spec)
     for spec in specs:
-        for sizes in _sized_partitions(spec.order - 1):
+        for sizes in _partitions(spec.order - 1, 3):
             yield spec, sizes, conjecture_scan(spec, sizes, budget)
 
 
@@ -590,37 +571,31 @@ def sized_partition_from_text(text: str):
         sizes = tuple(int(s) for s in header_fields(header[2:])["sizes"].split(","))
     except (KeyError, ValueError) as exc:
         raise GroupSpecError("header needs sizes=<size>,<size>,...") from exc
-    blocks = parse_blocks(lines[1:], spec)
+    blocks = tuple(parse_blocks(lines[1:], spec))
     if Counter(map(len, blocks)) != Counter(sizes):
         raise GroupSpecError("the block sizes contradict the header's sizes=")
     return spec, blocks, sizes
 
 
+# kind -> (witness type, writer, reader); a sized-partition witness is (spec, blocks)
 _WITNESS_KINDS = {
-    "zsp": (partition_to_text, partition_from_text),
-    "bijection": (bijection_to_text, bijection_from_text),
-    "kotzig": (array_to_text, array_from_text),
-    "kotzig-int": (array_to_text, array_from_text),
-    "labeling": (labeling_to_text, labeling_from_text),
+    "zsp": (ZeroSumPartition, partition_to_text, partition_from_text),
+    "bijection": (TripleBijection, bijection_to_text, bijection_from_text),
+    "kotzig": (GroupKotzigArray, array_to_text, array_from_text),
+    "kotzig-int": (IntKotzigArray, array_to_text, array_from_text),
+    "labeling": (Labeling, labeling_to_text, labeling_from_text),
+    "sized-partition": (
+        tuple,
+        lambda witness: sized_partition_to_text(*witness),
+        lambda text: sized_partition_from_text(text)[:2],
+    ),
 }
 
 
-_REPORT_KINDS = {*_WITNESS_KINDS, "sized-partition"}
-
-
 def witness_kind(witness) -> str:
-    if isinstance(witness, ZeroSumPartition):
-        return "zsp"
-    if isinstance(witness, TripleBijection):
-        return "bijection"
-    if isinstance(witness, GroupKotzigArray):
-        return "kotzig"
-    if isinstance(witness, IntKotzigArray):
-        return "kotzig-int"
-    if isinstance(witness, Labeling):
-        return "labeling"
-    if isinstance(witness, tuple) and len(witness) == 2:
-        return "sized-partition"
+    for kind, (cls, _write, _read) in _WITNESS_KINDS.items():
+        if isinstance(witness, cls):
+            return kind
     raise ParameterError(f"unknown witness type {witness!r}")
 
 
@@ -633,12 +608,7 @@ def report_to_text(report: SearchReport, kind: str | None = None) -> str:
     )
     if report.witness is None:
         return head + "\n"
-    if kind == "sized-partition":
-        spec, blocks = report.witness
-        body = sized_partition_to_text(spec, blocks)
-    else:
-        body = _WITNESS_KINDS[kind][0](report.witness)
-    return head + "\n" + body
+    return head + "\n" + _WITNESS_KINDS[kind][1](report.witness)
 
 
 def report_from_text(text: str) -> tuple[str, SearchReport]:
@@ -650,7 +620,7 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
     kind = fields.get("kind", "unknown")
     found = fields.get("found") == "true"
     # a report without a witness may leave its kind unknown
-    if kind not in (_REPORT_KINDS if found else _REPORT_KINDS | {"unknown"}):
+    if kind not in (_WITNESS_KINDS if found else {*_WITNESS_KINDS, "unknown"}):
         raise GroupSpecError(f"unknown report kind {kind!r}")
     exhausted = fields.get("exhausted") == "true"
     witness = None
@@ -658,9 +628,5 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
     if found:
         if not body:
             raise GroupSpecError("report says found=true but carries no witness")
-        if kind == "sized-partition":
-            spec, blocks, _sizes = sized_partition_from_text(body)
-            witness = (spec, tuple(tuple(b) for b in blocks))
-        else:
-            witness = _WITNESS_KINDS[kind][1](body)
+        witness = _WITNESS_KINDS[kind][2](body)
     return kind, SearchReport(found, exhausted, fields["nodes"], witness)

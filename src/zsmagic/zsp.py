@@ -545,6 +545,23 @@ def _inverse_pairs(spec: GroupSpec, exclude: set[Element]) -> list[tuple[Element
     return pairs
 
 
+def _check_admissible(spec: GroupSpec, m: int) -> None:
+    if spec.order % m != 0:
+        raise DivisibilityError(f"{m} does not divide group order {spec.order}")
+    if not in_class_g(spec):
+        raise NonexistenceError(
+            f"{spec} has exactly one involution; its element sum is the "
+            "involution, so no zero-sum partition exists"
+        )
+
+
+def _checked(partition: ZeroSumPartition) -> ZeroSumPartition:
+    check = verify_zsp(partition.spec, partition, partition.m)
+    if not check.ok:
+        raise AssertionError(f"internal: built partition failed verification: {check.reason}")
+    return partition
+
+
 def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     """Partition into blocks of even size ``m2 >= 4``.
 
@@ -555,20 +572,14 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     """
     if m2 % 2 != 0 or m2 < 4:
         raise ParameterError(f"block size must be even and >= 4, got {m2}")
-    if spec.order % m2 != 0:
-        raise DivisibilityError(f"{m2} does not divide group order {spec.order}")
-    if not in_class_g(spec):
-        raise NonexistenceError(
-            f"{spec} has exactly one involution; its element sum is the "
-            "involution, so no zero-sum partition exists"
-        )
+    _check_admissible(spec, m2)
     quads = list(involution_quadruples(spec).blocks)
     closure = {e for blk in quads for e in blk}
     pairs = _inverse_pairs(spec, exclude=closure)
     t = spec.order // m2
+    # m2 = 2 mod 4 and m2 >= 6 give the order n an odd factor >= 3, so the 2^r elements of
+    # order <= 2 are at most n/3 and leave (n - 2^r)/2 >= n/3 >= t pairs to seed the blocks
     seeded = m2 % 4 == 2
-    if seeded and len(pairs) < t:
-        raise ParameterError(f"cannot assemble blocks of size {m2} for {spec}")
     seeds, rest = (pairs[:t], pairs[t:]) if seeded else ([()] * t, pairs)
     blocks: list[list[Element]] = []
     qi = pi = 0
@@ -584,11 +595,7 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
             pi += 1
             cap -= 2
         blocks.append(block)
-    partition = ZeroSumPartition._sorted(spec, m2, blocks)
-    check = verify_zsp(spec, partition, m2)
-    if not check.ok:
-        raise AssertionError(f"internal: assembled partition failed: {check.reason}")
-    return partition
+    return _checked(ZeroSumPartition._sorted(spec, m2, blocks))
 
 
 def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
@@ -632,13 +639,7 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     """
     if m % 2 != 1 or m < 3:
         raise ParameterError(f"block size must be odd and >= 3, got {m}")
-    if spec.order % m != 0:
-        raise DivisibilityError(f"{m} does not divide group order {spec.order}")
-    if not in_class_g(spec):
-        raise NonexistenceError(
-            f"{spec} has exactly one involution; its element sum is the "
-            "involution, so no zero-sum partition exists"
-        )
+    _check_admissible(spec, m)
     if spec.order % 2 == 1:
         partition = _odd_base_partition(spec, m)
     else:
@@ -657,10 +658,7 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
                 lifted.extend(split.merge(gamma_inv_w, a) for a in block[2:])
                 blocks.append(lifted)
         partition = ZeroSumPartition._sorted(spec, m, blocks)
-    check = verify_zsp(spec, partition, m)
-    if not check.ok:
-        raise AssertionError(f"internal: odd-size partition failed: {check.reason}")
-    return partition
+    return _checked(partition)
 
 
 def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:

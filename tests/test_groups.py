@@ -42,6 +42,11 @@ class TestSpecGrammar:
     def test_roundtrip(self):
         assert str(parse_group_spec("Z2xZ9")) == "Z2xZ9"
 
+    def test_trivial_group_roundtrip(self):
+        # Z1 alone is how the trivial group prints; as a product factor it stays refused
+        assert str(GroupSpec(())) == "Z1"
+        assert parse_group_spec("Z1") == parse_group_spec("z1") == GroupSpec(())
+
     def test_factor_validation(self):
         with pytest.raises(GroupSpecError):
             GroupSpec((1, 4))
@@ -152,7 +157,7 @@ class TestEnumeration:
     def test_order_bound(self):
         with pytest.raises(ParameterError):
             GroupSpec((2,) * 21).elements()
-        assert len(GroupSpec((2, 2)).elements(max_order=4)) == 4
+        assert len(GroupSpec((2, 2)).elements()) == 4
 
     @given(group_specs())
     @settings(max_examples=40)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,17 @@ class TestGraphText:
         with pytest.raises(GroupSpecError):
             graph_from_text("e 0 1\np 2\n")
 
+    def test_isolated_vertices_allocate_no_set(self):
+        # adjacency is built from the edges, so a bare vertex count costs one shared empty tuple each
+        tracemalloc.start()
+        try:
+            g = graph_from_text("p 200000\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.edge_count) == (200000, 0)
+        assert peak < 16 * 2**20
+
     def test_vertex_count_bounded(self):
         # refused before any adjacency set is allocated
         with pytest.raises(GroupSpecError, match="exceeds the bound"):
@@ -179,6 +191,20 @@ class TestReportText:
         assert text.startswith(f"report kind={kind} found=true ")
         assert text == report_to_text(report, kind)
         assert report_from_text(text) == (kind, report)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: search_zsp(GroupSpec(()), 1),
+            lambda: search_kotzig(GroupSpec(()), 1),
+            lambda: search_triple_bijection(GroupSpec(())),
+        ],
+        ids=["zsp", "kotzig", "bijection"],
+    )
+    def test_trivial_group_roundtrip(self, search):
+        report = search()
+        assert report.found
+        assert report_from_text(report_to_text(report))[1] == report
 
     def test_unknown_witness_type(self):
         with pytest.raises(ParameterError, match="unknown witness type"):
