@@ -372,3 +372,97 @@ class TestVerifyFoundReports:
         code, out, _ = self._verify(capsys, tmp_path, edited)
         assert code == EXIT_REJECT
         assert out.startswith("reject: partition-sizes (block 0 sums to")
+
+
+SIZED_CERT = "partition-sizes Z2xZ2xZ2 sizes=3,4\n(0,0,1) (0,1,0) (0,1,1)\n(1,0,0) (1,0,1) (1,1,0) (1,1,1)\n"
+ZSP_REPORT = "report kind=zsp found=true exhausted=true nodes=8\npartition Z9 m=3\n0 1 8\n2 3 4\n5 6 7\n"
+LABELING_REPORT = "report kind=labeling found=true exhausted=true nodes=6\nlabeling Z4\n0\t0\n1\t1\n2\t3\n3\t2\n"
+NO_GRAPH = "bijection onto the group (no graph supplied)"
+
+
+def _verdict(ok, kind, reason=None):
+    """The text line and the ``--json`` document ``verify`` prints."""
+    line = f"{'accept' if ok else 'reject'}: {kind}" + (f" ({reason})" if reason else "")
+    doc = {"accepted": ok, "command": "verify", "kind": kind, "reason": reason}
+    return line + "\n", json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestVerifyOutput:
+    """``verify`` prints exactly these lines, as text and as ``--json``, for a valid
+    and a rejected certificate of every kind and for found and not-found reports."""
+
+    @pytest.mark.parametrize(
+        "text, graph, code, verdict",
+        [
+            pytest.param("partition Z9 m=3\n0 1 8\n2 3 4\n5 6 7\n", None, EXIT_OK, _verdict(True, "partition"), id="partition-valid"),
+            pytest.param(
+                "partition Z9 m=3\n0 1 2\n3 4 5\n6 7 8\n", None, EXIT_REJECT,
+                _verdict(False, "partition", "block 0 sums to 3"), id="partition-rejected",
+            ),
+            pytest.param("bijection Z3\n0 0 0\n1 1 1\n2 2 2\n", None, EXIT_OK, _verdict(True, "bijection"), id="bijection-valid"),
+            pytest.param(
+                "bijection Z3\n0 0 0\n1 2 1\n2 1 2\n", None, EXIT_REJECT,
+                _verdict(False, "bijection", "column at 1 sums to 1"), id="bijection-rejected",
+            ),
+            pytest.param("kotzig Z3 j=2 k=3\n0 1 2\n0 2 1\n", None, EXIT_OK, _verdict(True, "kotzig"), id="kotzig-valid"),
+            pytest.param(
+                "kotzig Z3 j=2 k=3\n0 1 2\n0 1 2\n", None, EXIT_REJECT,
+                _verdict(False, "kotzig", "column 1 sums to (2,), column 0 to (0,)"), id="kotzig-rejected",
+            ),
+            pytest.param("kotzig-int k=3 j=2\n0 1 2\n2 1 0\n", None, EXIT_OK, _verdict(True, "kotzig-int"), id="kotzig-int-valid"),
+            pytest.param(
+                "kotzig-int k=3 j=2\n0 1 2\n0 1 2\n", None, EXIT_REJECT,
+                _verdict(False, "kotzig-int", "column 1 sums to 2, column 0 to 0"), id="kotzig-int-rejected",
+            ),
+            pytest.param(
+                "labeling Z3\n0\t0\n1\t1\n2\t2\n", None, EXIT_OK, _verdict(True, "labeling", NO_GRAPH),
+                id="labeling-without-graph",
+            ),
+            pytest.param("labeling Z3\n0\t1\n1\t0\n2\t2\n", P3_GRAPH, EXIT_OK, _verdict(True, "labeling"), id="labeling-valid"),
+            pytest.param(
+                "labeling Z3\n0\t0\n1\t1\n2\t2\n", P3_GRAPH, EXIT_REJECT,
+                _verdict(False, "labeling", "weights differ at vertices (0, 1)"), id="labeling-rejected",
+            ),
+            pytest.param(
+                "labeling Z2xZ2\n0\t(0, 0)\n1\t(0, 1)\n2\t(1, 0)\n3\t(1, 1)\n", C4_GRAPH, EXIT_OK,
+                _verdict(True, "labeling"), id="labeling-inner-spaces",
+            ),
+            pytest.param(SIZED_CERT, None, EXIT_OK, _verdict(True, "partition-sizes"), id="partition-sizes-valid"),
+            pytest.param(
+                "partition-sizes Z2xZ2xZ2 sizes=3,4\n(1,0,0) (0,1,0) (0,1,1)\n(0,0,1) (1,0,1) (1,1,0) (1,1,1)\n",
+                None, EXIT_REJECT, _verdict(False, "partition-sizes", "block 0 sums to (1,0,1)"),
+                id="partition-sizes-rejected",
+            ),
+            pytest.param(ZSP_REPORT, None, EXIT_OK, _verdict(True, "partition"), id="report-found"),
+            pytest.param(
+                ZSP_REPORT.replace("0 1 8\n2 3 4\n5 6 7", "0 1 2\n3 4 5\n6 7 8"), None, EXIT_REJECT,
+                _verdict(False, "partition", "block 0 sums to 3"), id="report-found-rejected",
+            ),
+            pytest.param(
+                "report kind=bijection found=false exhausted=true nodes=4\n", None, EXIT_OK,
+                _verdict(True, "report", "no witness to check"), id="report-not-found",
+            ),
+            pytest.param(
+                "report kind=unknown found=false exhausted=false nodes=10\n", None, EXIT_OK,
+                _verdict(True, "report", "no witness to check"), id="report-budget-spent",
+            ),
+            pytest.param(
+                LABELING_REPORT, None, EXIT_OK, _verdict(True, "labeling", NO_GRAPH), id="report-labeling-without-graph"
+            ),
+            pytest.param(LABELING_REPORT, C4_GRAPH, EXIT_OK, _verdict(True, "labeling"), id="report-labeling-valid"),
+            pytest.param(
+                LABELING_REPORT.replace("2\t3\n3\t2", "2\t2\n3\t3"), C4_GRAPH, EXIT_REJECT,
+                _verdict(False, "labeling", "weights differ at vertices (0, 1)"), id="report-labeling-rejected",
+            ),
+        ],
+    )
+    def test_table(self, capsys, tmp_path, text, graph, code, verdict):
+        cert = tmp_path / "c.cert"
+        cert.write_text(text)
+        argv = ["verify", str(cert)]
+        if graph is not None:
+            graph_file = tmp_path / "g.graph"
+            graph_file.write_text(graph)
+            argv += ["--graph", str(graph_file)]
+        assert run(capsys, *argv)[:2] == (code, verdict[0])
+        assert run(capsys, "--json", *argv)[:2] == (code, verdict[1])
