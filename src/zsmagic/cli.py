@@ -31,15 +31,7 @@ from .groups import (
     parse_group_spec,
     sum_all,
 )
-from .zsp import (
-    bijection_from_text,
-    bijection_to_text,
-    partition_from_text,
-    partition_to_text,
-    triple_bijection,
-    verify_triple_bijection,
-    verify_zsp,
-)
+from .zsp import bijection_to_text, partition_to_text, triple_bijection, verify_triple_bijection
 from .zsp import zsp as build_zsp
 
 EXIT_OK = 0
@@ -166,37 +158,27 @@ def _handle_label(args):
 
 def _verify_payload(text: str, graph_path: str | None):
     lines = certificate_lines(text)
-    kind = lines[0].split()[0] if lines else ""
-    if kind == "partition":
-        partition = partition_from_text(text)
-        check = verify_zsp(partition.spec, partition, partition.m)
-        return "partition", bool(check.ok), check.reason
-    if kind == "bijection":
-        tb = bijection_from_text(text)
-        check = verify_triple_bijection(tb)
-        return "bijection", bool(check.ok), check.reason
-    if kind in ("kotzig", "kotzig-int"):
-        array = kotzig.array_from_text(text)
-        check = kotzig.verify_kotzig(array)
-        return kind, bool(check.ok), check.reason
-    if kind == "labeling":
-        labeling = graphs.labeling_from_text(text)
-        if graph_path is None:
-            return "labeling", True, "bijection onto the group (no graph supplied)"
-        g = graphs.graph_from_text(Path(graph_path).read_text())
-        verdict = graphs.verify_labeling(g, labeling)
-        reason = None if verdict.is_magic else f"weights differ at vertices {verdict.witness}"
-        return "labeling", verdict.is_magic, reason
-    if kind == "partition-sizes":
-        spec, blocks, sizes = oracle.sized_partition_from_text(text)
-        check = oracle.verify_sized_partition(spec, blocks, sizes)
-        return "partition-sizes", bool(check.ok), check.reason
-    if kind == "report":
-        _kind, report = oracle.report_from_text(text)
+    word = lines[0].split()[0] if lines else ""
+    if word == "report":
+        kind, report = oracle.report_from_text(text)
         if not report.found:
             return "report", True, "no witness to check"
-        return _verify_payload("\n".join(lines[1:]), graph_path)
-    raise ParameterError(f"unrecognised certificate kind {kind!r}")
+        witness = report.witness
+    else:
+        kind = next((k for k, row in oracle._WITNESS_KINDS.items() if row[1] == word), None)
+        if kind is None:
+            raise ParameterError(f"unrecognised certificate kind {word!r}")
+        witness = oracle._WITNESS_KINDS[kind][3](text)
+    _cls, word, _write, _read, verify = oracle._WITNESS_KINDS[kind]
+    if verify is not None:
+        check = verify(witness)
+        return word, bool(check.ok), check.reason
+    if graph_path is None:
+        return word, True, "bijection onto the group (no graph supplied)"
+    g = graphs.graph_from_text(Path(graph_path).read_text())
+    verdict = graphs.verify_labeling(g, witness)
+    reason = None if verdict.is_magic else f"weights differ at vertices {verdict.witness}"
+    return word, verdict.is_magic, reason
 
 
 def _handle_verify(args):

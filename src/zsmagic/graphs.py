@@ -17,12 +17,12 @@ from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSpec,
-    certificate_lines,
     format_element,
     involution_count,
-    parse_element,
     parse_group_spec,
     parse_ints,
+    read_elements,
+    read_header,
     two_part_split,
 )
 from .zsp import zsp
@@ -107,14 +107,7 @@ class Graph:
         Each component's BFS root goes to V1.
         """
         comps = self._bfs_components()
-        if comps is None:
-            return None
-        v1: list[int] = []
-        v2: list[int] = []
-        for a, b in comps:
-            v1.extend(a)
-            v2.extend(b)
-        return (tuple(sorted(v1)), tuple(sorted(v2)))
+        return None if comps is None else _sides(comps)
 
     @property
     def is_bipartite(self) -> bool:
@@ -128,33 +121,27 @@ class Graph:
         """
         if self.n % 2 != 0:
             return None
-        bip = self.bipartition()
-        if bip is None:
-            return None
-        if len(bip[0]) == len(bip[1]):
-            return bip
         comps = self._bfs_components()
+        if comps is None:
+            return None
         half = self.n // 2
+        if sum(len(a) for a, _ in comps) == half:
+            return _sides(comps)
         # reachable[i] = set of side-1 totals using the first i components
         reachable = [{0}]
         for a, b in comps:
             reachable.append({t + len(a) for t in reachable[-1]} | {t + len(b) for t in reachable[-1]})
         if half not in reachable[-1]:
             return None
-        v1: list[int] = []
-        v2: list[int] = []
+        oriented = []
         need = half
         for i in range(len(comps) - 1, -1, -1):
             a, b = comps[i]
-            if need - len(a) in reachable[i]:
-                v1.extend(a)
-                v2.extend(b)
-                need -= len(a)
-            else:
-                v1.extend(b)
-                v2.extend(a)
-                need -= len(b)
-        return (tuple(sorted(v1)), tuple(sorted(v2)))
+            if need - len(a) not in reachable[i]:
+                a, b = b, a
+            oriented.append((a, b))
+            need -= len(a)
+        return _sides(oriented)
 
     def __eq__(self, other):
         return (
@@ -163,6 +150,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _sides(comps):
+    """The first sides and the second sides of the components, each as one sorted tuple."""
+    return (
+        tuple(sorted(v for a, _ in comps for v in a)),
+        tuple(sorted(v for _, b in comps for v in b)),
+    )
 
 
 def empty_graph(n: int) -> Graph:
@@ -433,21 +428,18 @@ def labeling_to_text(labeling: Labeling) -> str:
 
 
 def labeling_from_text(text: str) -> Labeling:
-    """Parse a labeling certificate; ``Labeling`` reduces each label once."""
-    lines = certificate_lines(text)
-    header = lines[0].split() if lines else []
-    if header[:1] != ["labeling"] or len(header) != 2:
-        raise GroupSpecError("not a labeling certificate")
+    """Parse a labeling certificate; a label may be written with inner spaces."""
+    header, body = read_header(text, "labeling certificate", {"labeling": 2})
     spec = parse_group_spec(header[1])
-    if len(lines) - 1 != spec.order:
-        raise GroupSpecError(f"expected {spec.order} vertex lines, found {len(lines) - 1}")
-    assignment: list[Element | None] = [None] * spec.order
-    for line in lines[1:]:
+    if len(body) != spec.order:
+        raise GroupSpecError(f"expected {spec.order} vertex lines, found {len(body)}")
+    labels: list[list[str] | None] = [None] * spec.order
+    for line in body:
         parts = line.split("\t") if "\t" in line else line.split(None, 1)
         if len(parts) != 2:
             raise GroupSpecError(f"bad labeling line {line!r}")
         v = parse_ints(parts[:1])[0]
-        if not 0 <= v < spec.order or assignment[v] is not None:
+        if not 0 <= v < spec.order or labels[v] is not None:
             raise GroupSpecError(f"bad or repeated vertex {v}")
-        assignment[v] = parse_element(parts[1])
-    return Labeling(spec, tuple(assignment))
+        labels[v] = [parts[1].strip()]
+    return Labeling(spec, tuple(e for (e,) in read_elements(spec, labels)))

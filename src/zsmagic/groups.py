@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import chain, islice, product as _cartesian, repeat
 from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
 from .errors import ArityError, GroupSpecError, ParameterError
@@ -204,6 +204,60 @@ def header_fields(tokens, ints=()) -> dict:
 def certificate_lines(text: str) -> list[str]:
     """The content lines of a certificate: neither blank nor ``#`` annotations."""
     return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
+def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str]]:
+    """The header tokens and the body lines of a certificate.
+
+    ``counts`` maps each header word allowed to the token count of its
+    header line, or to None for any count; any other first line raises
+    ``GroupSpecError("not a <what>")``.
+    """
+    lines = certificate_lines(text)
+    header = lines[0].split() if lines else []
+    if not header or header[0] not in counts or counts[header[0]] not in (None, len(header)):
+        raise GroupSpecError(f"not a {what}")
+    return header, lines[1:]
+
+
+def _coordinates(tokens: list[str], arity: int) -> list[int]:
+    """Every coordinate of the tokens in order, when each token is an element
+    of this arity as :func:`format_element` writes it; else ``ValueError``."""
+    if arity == 1:
+        return list(map(int, tokens))
+    text = ",".join(tokens)
+    element = r"\(" + ",".join([r"[^(),]*"] * arity) + r"\)"
+    if not re.fullmatch(f"{element}(?:,{element})*", text):
+        raise ValueError("not a list of elements")
+    return list(map(int, text.replace("(", "").replace(")", "").split(",")))
+
+
+def read_elements(spec: GroupSpec, rows) -> list[tuple[Element, ...]]:
+    """Rows of element tokens as tuples of reduced elements, one pass per
+    coordinate column; a token that is not an element of the group's arity
+    raises ``GroupSpecError``."""
+    rows = list(rows)
+    tokens = [t for row in rows for t in row]
+    k = spec.arity
+    try:
+        flat = _coordinates(tokens, k)
+    except ValueError:  # name the bad token; "(5)" and "()" are elements too
+        coords = list(map(parse_element, tokens))
+        bad = next((c for c in coords if len(c) != k), None)
+        if bad is not None:
+            raise GroupSpecError(f"element {bad} has {len(bad)} coordinates, group {spec} has {k}")
+        flat = [x for c in coords for x in c]
+    columns = [list(map(_mod, flat[t::k], repeat(f))) for t, f in enumerate(spec.factors)]
+    elems = iter(list(zip(*columns)) if k else [()] * len(tokens))
+    return [tuple(islice(elems, len(row))) for row in rows]
+
+
+def write_rows(spec: GroupSpec, header: str, rows) -> str:
+    """A certificate: the header line, then one line of space-separated
+    elements of ``spec`` per row."""
+    element = format_element(("%d",) * spec.arity)  # a %-format with one %d per coordinate
+    lines = (" ".join([element] * len(row)) % tuple(chain.from_iterable(row)) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
 
 
 # -- factorisation and canonical form ----------------------------------------

@@ -16,9 +16,9 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, certificate_lines, format_element, header_fields
-from .groups import in_class_g, parse_group_spec, parse_ints
-from .zsp import parse_blocks, triple_bijection
+from .groups import Element, GroupSpec, header_fields, in_class_g, parse_group_spec, parse_ints
+from .groups import read_elements, read_header, write_rows
+from .zsp import triple_bijection
 
 
 @dataclass(frozen=True)
@@ -184,30 +184,23 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
 
 def array_to_text(array) -> str:
     if isinstance(array, GroupKotzigArray):
-        lines = [f"kotzig {array.spec} j={array.j} k={array.k}"]
-        for row in array.rows:
-            lines.append(" ".join(map(format_element, row)))
-    else:
-        lines = [f"kotzig-int k={array.k} j={array.j}"]
-        for row in array.rows:
-            lines.append(" ".join(map(str, row)))
+        return write_rows(array.spec, f"kotzig {array.spec} j={array.j} k={array.k}", array.rows)
+    lines = [f"kotzig-int k={array.k} j={array.j}"]
+    lines += (" ".join(map(str, row)) for row in array.rows)
     return "\n".join(lines) + "\n"
 
 
 def array_from_text(text: str):
     """Parse a Kotzig certificate; the header's j and k must match the body."""
-    lines = certificate_lines(text)
-    header = lines[0].split() if lines else []
-    if header[:1] == ["kotzig"] and len(header) == 4:
+    header, body = read_header(text, "Kotzig array certificate", {"kotzig": 4, "kotzig-int": 3})
+    rows = [line.split() for line in body]
+    if header[0] == "kotzig":
         spec = parse_group_spec(header[1])
         fields = header_fields(header[2:], ints=("j", "k"))
-        array = GroupKotzigArray(spec, tuple(parse_blocks(lines[1:], spec)))
-    elif header[:1] == ["kotzig-int"] and len(header) == 3:
-        fields = header_fields(header[1:], ints=("j", "k"))
-        rows = tuple(tuple(parse_ints(ln.split())) for ln in lines[1:])
-        array = IntKotzigArray(fields["k"], rows)
+        array = GroupKotzigArray(spec, tuple(read_elements(spec, rows)))
     else:
-        raise GroupSpecError("not a Kotzig array certificate")
+        fields = header_fields(header[1:], ints=("j", "k"))
+        array = IntKotzigArray(fields["k"], tuple(tuple(parse_ints(row)) for row in rows))
     if array.j < 1 or (fields["j"], fields["k"]) != (array.j, array.k):
         raise GroupSpecError(
             f"header says j={fields['j']} k={fields['k']}, "

@@ -55,12 +55,14 @@ from .groups import (
     GroupSpec,
     _partitions,
     abelian_groups_up_to,
-    certificate_lines,
     format_element,
     header_fields,
     involution_count,
     parse_group_spec,
+    read_elements,
+    read_header,
     sum_all,
+    write_rows,
 )
 from .kotzig import (
     GroupKotzigArray,
@@ -75,8 +77,6 @@ from .zsp import (
     ZeroSumPartition,
     bijection_from_text,
     bijection_to_text,
-    format_blocks,
-    parse_blocks,
     partition_from_text,
     partition_to_text,
     verify_triple_bijection,
@@ -557,43 +557,42 @@ def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
 
 def sized_partition_to_text(spec: GroupSpec, blocks) -> str:
     sizes = ",".join(str(len(b)) for b in blocks)
-    header = f"partition-sizes {spec} sizes={sizes}"
-    return "\n".join([header] + format_blocks(blocks)) + "\n"
+    return write_rows(spec, f"partition-sizes {spec} sizes={sizes}", blocks)
 
 
 def sized_partition_from_text(text: str):
-    lines = certificate_lines(text)
-    header = lines[0].split() if lines else []
-    if header[:1] != ["partition-sizes"] or len(header) != 3:
-        raise GroupSpecError("not a sized-partition certificate")
+    """The group and the blocks of a sized-partition certificate, whose
+    block sizes must be the header's ``sizes=``."""
+    header, body = read_header(text, "sized-partition certificate", {"partition-sizes": 3})
     spec = parse_group_spec(header[1])
     try:
         sizes = tuple(int(s) for s in header_fields(header[2:])["sizes"].split(","))
     except (KeyError, ValueError) as exc:
         raise GroupSpecError("header needs sizes=<size>,<size>,...") from exc
-    blocks = tuple(parse_blocks(lines[1:], spec))
+    blocks = tuple(read_elements(spec, (line.split() for line in body)))
     if Counter(map(len, blocks)) != Counter(sizes):
         raise GroupSpecError("the block sizes contradict the header's sizes=")
-    return spec, blocks, sizes
+    return spec, blocks
 
 
-# kind -> (witness type, writer, reader); a sized-partition witness is (spec, blocks)
+# kind -> (witness type, certificate word, writer, reader, verifier).  A sized-partition
+# witness is (spec, blocks); a labeling is checked against a graph, so it has no verifier.
 _WITNESS_KINDS = {
-    "zsp": (ZeroSumPartition, partition_to_text, partition_from_text),
-    "bijection": (TripleBijection, bijection_to_text, bijection_from_text),
-    "kotzig": (GroupKotzigArray, array_to_text, array_from_text),
-    "kotzig-int": (IntKotzigArray, array_to_text, array_from_text),
-    "labeling": (Labeling, labeling_to_text, labeling_from_text),
-    "sized-partition": (
-        tuple,
-        lambda witness: sized_partition_to_text(*witness),
-        lambda text: sized_partition_from_text(text)[:2],
-    ),
+    "zsp": (ZeroSumPartition, "partition", partition_to_text, partition_from_text,
+            lambda p: verify_zsp(p.spec, p, p.m)),
+    "bijection": (TripleBijection, "bijection", bijection_to_text, bijection_from_text,
+                  verify_triple_bijection),
+    "kotzig": (GroupKotzigArray, "kotzig", array_to_text, array_from_text, verify_kotzig),
+    "kotzig-int": (IntKotzigArray, "kotzig-int", array_to_text, array_from_text, verify_kotzig),
+    "labeling": (Labeling, "labeling", labeling_to_text, labeling_from_text, None),
+    "sized-partition": (tuple, "partition-sizes", lambda witness: sized_partition_to_text(*witness),
+                        sized_partition_from_text,
+                        lambda witness: verify_sized_partition(*witness, map(len, witness[1]))),
 }
 
 
 def witness_kind(witness) -> str:
-    for kind, (cls, _write, _read) in _WITNESS_KINDS.items():
+    for kind, (cls, *_rest) in _WITNESS_KINDS.items():
         if isinstance(witness, cls):
             return kind
     raise ParameterError(f"unknown witness type {witness!r}")
@@ -608,25 +607,32 @@ def report_to_text(report: SearchReport, kind: str | None = None) -> str:
     )
     if report.witness is None:
         return head + "\n"
-    return head + "\n" + _WITNESS_KINDS[kind][1](report.witness)
+    return head + "\n" + _WITNESS_KINDS[kind][2](report.witness)
 
 
 def report_from_text(text: str) -> tuple[str, SearchReport]:
-    lines = certificate_lines(text)
-    header = lines[0].split() if lines else []
-    if header[:1] != ["report"]:
-        raise GroupSpecError("not a search report")
+    """A search report; only a ``found=true`` report carries a witness,
+    the certificate of its kind."""
+    header, body = read_header(text, "search report", {"report": None})
     fields = header_fields(header[1:], ints=("nodes",))
+    for key in ("found", "exhausted"):
+        if fields.get(key) not in ("true", "false"):
+            raise GroupSpecError(f"header needs {key}=true or {key}=false")
+    if fields["nodes"] < 0:
+        raise GroupSpecError(f"header says nodes={fields['nodes']}, a count cannot be negative")
     kind = fields.get("kind", "unknown")
-    found = fields.get("found") == "true"
+    found = fields["found"] == "true"
     # a report without a witness may leave its kind unknown
     if kind not in (_WITNESS_KINDS if found else {*_WITNESS_KINDS, "unknown"}):
         raise GroupSpecError(f"unknown report kind {kind!r}")
-    exhausted = fields.get("exhausted") == "true"
     witness = None
-    body = "\n".join(lines[1:])
     if found:
         if not body:
             raise GroupSpecError("report says found=true but carries no witness")
-        witness = _WITNESS_KINDS[kind][2](body)
-    return kind, SearchReport(found, exhausted, fields["nodes"], witness)
+        word = _WITNESS_KINDS[kind][1]
+        if body[0].split()[0] != word:
+            raise GroupSpecError(f"report kind={kind} needs a {word} certificate")
+        witness = _WITNESS_KINDS[kind][3]("\n".join(body))
+    elif body:
+        raise GroupSpecError("report says found=false but carries a witness")
+    return kind, SearchReport(found, fields["exhausted"] == "true", fields["nodes"], witness)

@@ -26,7 +26,6 @@ from itertools import product
 from operator import mod
 
 from .errors import (
-    ArityError,
     DivisibilityError,
     GroupSpecError,
     ImpossibilityError,
@@ -36,15 +35,16 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
-    certificate_lines,
     format_element,
     header_fields,
     in_class_g,
-    parse_element,
     parse_group_spec,
     prime_power_refinement,
+    read_elements,
+    read_header,
     two_part_split,
     two_torsion_rank,
+    write_rows,
 )
 
 
@@ -684,69 +684,41 @@ def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:
 # -- certificates ----------------------------------------------------------------
 
 
-def format_blocks(blocks) -> list[str]:
-    return [" ".join(map(format_element, block)) for block in blocks]
-
-
-def parse_blocks(lines, spec: GroupSpec) -> list[tuple[Element, ...]]:
-    blocks = []
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        try:
-            block = tuple(spec.reduce(parse_element(p)) for p in parts)
-        except ArityError as exc:
-            raise GroupSpecError(str(exc)) from exc
-        blocks.append(block)
-    return blocks
-
-
 def partition_to_text(partition: ZeroSumPartition) -> str:
-    header = f"partition {partition.spec} m={partition.m}"
-    return "\n".join([header] + format_blocks(partition.blocks)) + "\n"
+    return write_rows(partition.spec, f"partition {partition.spec} m={partition.m}", partition.blocks)
 
 
 def partition_from_text(text: str) -> ZeroSumPartition:
-    lines = certificate_lines(text)
-    if not lines or not lines[0].startswith("partition "):
-        raise GroupSpecError("not a partition certificate")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise GroupSpecError(f"bad partition header {lines[0]!r}")
+    header, body = read_header(text, "partition certificate", {"partition": 3})
     spec = parse_group_spec(header[1])
     m = header_fields(header[2:], ints=("m",))["m"]
-    blocks = parse_blocks(lines[1:], spec)
+    blocks = read_elements(spec, (line.split() for line in body))
     if any(len(block) != m for block in blocks):
         raise GroupSpecError(f"header says m={m}, a block of the body has another size")
     return ZeroSumPartition._sorted(spec, m, blocks)
 
 
 def bijection_to_text(tb: TripleBijection) -> str:
-    lines = [f"bijection {tb.spec}"]
-    for g, p, q in tb.columns():
-        lines.append(f"{format_element(g)} {format_element(p)} {format_element(q)}")
-    return "\n".join(lines) + "\n"
+    return write_rows(tb.spec, f"bijection {tb.spec}", tb.columns())
 
 
 def bijection_from_text(text: str) -> TripleBijection:
-    lines = certificate_lines(text)
-    header = lines[0].split() if lines else []
-    if header[:1] != ["bijection"] or len(header) != 2:
-        raise GroupSpecError("not a bijection certificate")
+    header, body = read_header(text, "bijection certificate", {"bijection": 2})
     spec = parse_group_spec(header[1])
     n = spec.order
-    if len(lines) - 1 != n:
-        raise GroupSpecError(f"expected {n} rows, found {len(lines) - 1}")
+    if len(body) != n:
+        raise GroupSpecError(f"expected {n} rows, found {len(body)}")
+    rows = [line.split() for line in body]
+    for line, row in zip(body, rows):
+        if len(row) != 3:
+            raise GroupSpecError(f"bad bijection row {line!r}")
+    index = {e: i for i, e in enumerate(spec.elements())}
     phi = [-1] * n
     psi = [-1] * n
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise GroupSpecError(f"bad bijection row {line!r}")
-        g, p, q = (spec.index_of(parse_element(x)) for x in parts)
-        phi[g] = p
-        psi[g] = q
+    for g, p, q in read_elements(spec, rows):
+        g = index[g]
+        phi[g] = index[p]
+        psi[g] = index[q]
     if -1 in phi:
         raise GroupSpecError("bijection rows do not cover the group")
     return TripleBijection(spec, tuple(phi), tuple(psi))

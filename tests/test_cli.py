@@ -275,6 +275,8 @@ class TestVerifyExitCodes:
         [
             pytest.param(Z2Z6_ARRAY, EXIT_OK, id="valid-array"),
             pytest.param(Z2Z6_PARTITION, EXIT_OK, id="valid-partition"),
+            # every header is split on whitespace, as the other certificate kinds always were
+            pytest.param("partition\tZ9 m=3\n0 1 8\n2 3 4\n5 6 7\n", EXIT_OK, id="partition-header-tab"),
             pytest.param(
                 "report kind=zsp found=false exhausted=true nodes=3\n", EXIT_OK, id="report-not-found"
             ),
@@ -296,6 +298,25 @@ class TestVerifyExitCodes:
             pytest.param("partition-sizes Z8\n1 7\n2 6\n3 5\n4\n", EXIT_INVALID, id="sizes-missing"),
             pytest.param(
                 "report kind=bogus found=true exhausted=true nodes=1\n", EXIT_INVALID, id="unknown-report-kind"
+            ),
+            # report headers read strictly: a malformed one must not hide or mislabel its body
+            pytest.param(
+                "report kind=zsp found=TRUE exhausted=true nodes=3\npartition Z9 m=3\n0 1 2\n3 4 5\n6 7 8\n",
+                EXIT_INVALID, id="report-found-not-lowercase",
+            ),
+            pytest.param(
+                "report kind=zsp exhausted=true nodes=3\npartition Z9 m=3\n0 1 2\n3 4 5\n6 7 8\n",
+                EXIT_INVALID, id="report-found-missing",
+            ),
+            pytest.param("report kind=zsp found=false nodes=3\n", EXIT_INVALID, id="report-exhausted-missing"),
+            pytest.param("report kind=zsp found=false exhausted=true nodes=-3\n", EXIT_INVALID, id="report-nodes-negative"),
+            pytest.param(
+                "report kind=zsp found=false exhausted=true nodes=3\npartition Z9 m=3\n0 1 2\n3 4 5\n6 7 8\n",
+                EXIT_INVALID, id="report-not-found-with-body",
+            ),
+            pytest.param(
+                "report kind=kotzig found=true exhausted=true nodes=3\nkotzig-int k=3 j=2\n0 1 2\n2 1 0\n",
+                EXIT_INVALID, id="report-kind-contradicts-body",
             ),
             pytest.param("labeling Z3\nx\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-vertex-not-integer"),
             pytest.param("labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-header-too-long"),

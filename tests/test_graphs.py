@@ -61,6 +61,19 @@ class TestGraphModel:
         v1, v2 = g.balanced_bipartition()
         assert len(v1) == len(v2) == 3
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 3), (3, 4)], [(0, 1), (2, 3), (4, 5)]], ids=["swapped", "balanced"])
+    def test_balanced_bipartition_runs_one_bfs(self, monkeypatch, edges):
+        passes = []
+        original = Graph._bfs_components
+
+        def counting(self):
+            passes.append(self.n)
+            return original(self)
+
+        monkeypatch.setattr(Graph, "_bfs_components", counting)
+        v1, v2 = Graph(6, edges).balanced_bipartition()
+        assert len(v1) == len(v2) == 3 and passes == [6]
+
 
 class TestLexProduct:
     def test_k2_blowup_is_k22(self):

@@ -22,7 +22,7 @@ from zsmagic import (
     two_part_split,
     two_torsion_rank,
 )
-from zsmagic.groups import abelian_groups_up_to
+from zsmagic.groups import abelian_groups_up_to, read_elements, write_rows
 
 
 class TestSpecGrammar:
@@ -303,3 +303,44 @@ class TestElementText:
     def test_roundtrip(self, spec, data):
         e = data.draw(elements_of(spec))
         assert spec.reduce(parse_element(format_element(e))) == e
+
+
+# pieces of element tokens, valid and not; an element token is a few of them run together
+TOKEN_PIECES = ["(", ")", ",", "0", "1", "7", "-3", "12", " 2", "x", "", "()", "(1,2)", "1_0"]
+
+
+def _read_one_by_one(spec, rows):
+    """The reference reader: one ``parse_element`` and one ``reduce`` per token."""
+    try:
+        return [tuple(spec.reduce(parse_element(t)) for t in row) for row in rows]
+    except ArityError as exc:
+        raise GroupSpecError(str(exc)) from exc
+
+
+class TestReadElements:
+    @given(group_specs(), st.data())
+    @settings(max_examples=60)
+    def test_rows_roundtrip(self, spec, data):
+        rows = data.draw(st.lists(st.lists(elements_of(spec), max_size=4), max_size=4))
+        text = write_rows(spec, "header", rows)
+        assert read_elements(spec, [ln.split() for ln in text.splitlines()[1:]]) == [tuple(r) for r in rows]
+
+    @given(
+        st.sampled_from([GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 4)), GroupSpec((3, 3, 6))]),
+        st.lists(st.lists(st.lists(st.sampled_from(TOKEN_PIECES), max_size=5).map("".join), max_size=3), max_size=3),
+    )
+    @settings(max_examples=400)
+    def test_agrees_with_reading_one_token_at_a_time(self, spec, rows):
+        """Same elements as the reference, or a ``GroupSpecError`` from both."""
+        try:
+            expected = _read_one_by_one(spec, rows)
+        except GroupSpecError:
+            with pytest.raises(GroupSpecError):
+                read_elements(spec, rows)
+        else:
+            assert read_elements(spec, rows) == expected
+
+    def test_unwritten_spellings_still_read(self):
+        assert read_elements(GroupSpec((5,)), [["(7)", "-1"]]) == [((2,), (4,))]
+        assert read_elements(GroupSpec(()), [["()"], []]) == [((),), ()]
+        assert read_elements(GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]]) == [((1, 1), (1, 2))]

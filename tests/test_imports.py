@@ -21,3 +21,14 @@ def test_no_unused_imports(path):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "groups"], ids=lambda p: p.stem)
+def test_only_groups_parses_elements(path):
+    """Element tokens are read by ``groups.read_elements`` alone."""
+    uses = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if getattr(node, "id", getattr(node, "attr", None)) == "parse_element"
+    ]
+    assert uses == []

@@ -10,12 +10,13 @@ from zsmagic.cli import main
 
 zsp_module = importlib.import_module("zsmagic.zsp")  # the package's ``zsp`` is the function
 kotzig_module = importlib.import_module("zsmagic.kotzig")
-cli_module = importlib.import_module("zsmagic.cli")
+oracle_module = importlib.import_module("zsmagic.oracle")
 
 
 @pytest.fixture
 def zsp_calls(monkeypatch):
-    """Group orders of every ``verify_zsp`` call, through any import of it."""
+    """Group orders of every ``verify_zsp`` call, through any import of it
+    (``verify`` finds it through the oracle's kind table)."""
     orders = []
     original = zsp_module.verify_zsp
 
@@ -24,7 +25,7 @@ def zsp_calls(monkeypatch):
         return original(spec, partition, m, universe)
 
     monkeypatch.setattr(zsp_module, "verify_zsp", counting)
-    monkeypatch.setattr(cli_module, "verify_zsp", counting)
+    monkeypatch.setattr(oracle_module, "verify_zsp", counting)
     return orders
 
 
@@ -77,3 +78,22 @@ def test_cli_adds_no_verification(capsys, zsp_calls, kotzig_calls, argv, counter
 def test_int_kotzig_verifies_once(kotzig_calls):
     build_int_kotzig(5, 21)
     assert kotzig_calls == [(5, 21)]
+
+
+def test_found_report_parses_its_witness_once(monkeypatch, capsys, tmp_path):
+    """``verify`` on a found report parses the partition it carries once:
+    each parse ends in one ``ZeroSumPartition._sorted``."""
+    assert main(["search", "zsp", "Z9", "3"]) == 0
+    report = tmp_path / "r.cert"
+    report.write_text(capsys.readouterr().out)
+    built = []
+    original = zsp_module.ZeroSumPartition._sorted.__func__
+
+    def counting(cls, spec, m, blocks):
+        built.append(spec)
+        return original(cls, spec, m, blocks)
+
+    monkeypatch.setattr(zsp_module.ZeroSumPartition, "_sorted", classmethod(counting))
+    assert main(["verify", str(report)]) == 0
+    assert capsys.readouterr().out == "accept: partition\n"
+    assert len(built) == 1
