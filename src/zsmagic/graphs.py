@@ -154,10 +154,7 @@ class Graph:
 
 def _sides(comps):
     """The first sides and the second sides of the components, each as one sorted tuple."""
-    return (
-        tuple(sorted(v for a, _ in comps for v in a)),
-        tuple(sorted(v for _, b in comps for v in b)),
-    )
+    return tuple(tuple(sorted(v for comp in comps for v in comp[side])) for side in (0, 1))
 
 
 def empty_graph(n: int) -> Graph:

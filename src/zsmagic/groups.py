@@ -232,24 +232,27 @@ def _coordinates(tokens: list[str], arity: int) -> list[int]:
     return list(map(int, text.replace("(", "").replace(")", "").split(",")))
 
 
-def read_elements(spec: GroupSpec, rows) -> list[tuple[Element, ...]]:
-    """Rows of element tokens as tuples of reduced elements, one pass per
-    coordinate column; a token that is not an element of the group's arity
-    raises ``GroupSpecError``."""
-    rows = list(rows)
-    tokens = [t for row in rows for t in row]
+def read_elements(spec: GroupSpec, rows):
+    """Yield each row of element tokens as a tuple of reduced elements, reading
+    a few thousand tokens at a time with one pass per coordinate column; a
+    token that is not an element of the group's arity raises ``GroupSpecError``."""
     k = spec.arity
-    try:
-        flat = _coordinates(tokens, k)
-    except ValueError:  # name the bad token; "(5)" and "()" are elements too
-        coords = list(map(parse_element, tokens))
-        bad = next((c for c in coords if len(c) != k), None)
-        if bad is not None:
-            raise GroupSpecError(f"element {bad} has {len(bad)} coordinates, group {spec} has {k}")
-        flat = [x for c in coords for x in c]
-    columns = [list(map(_mod, flat[t::k], repeat(f))) for t, f in enumerate(spec.factors)]
-    elems = iter(list(zip(*columns)) if k else [()] * len(tokens))
-    return [tuple(islice(elems, len(row))) for row in rows]
+    rows = iter(rows)
+    for first in rows:
+        chunk = [first, *islice(rows, 4096 // (len(first) + 1))]
+        tokens = [t for row in chunk for t in row]
+        try:
+            flat = _coordinates(tokens, k)
+        except ValueError:  # name the bad token; "(5)" and "()" are elements too
+            coords = list(map(parse_element, tokens))
+            bad = next((c for c in coords if len(c) != k), None)
+            if bad is not None:
+                raise GroupSpecError(f"element {bad} has {len(bad)} coordinates, group {spec} has {k}")
+            flat = [x for c in coords for x in c]
+        columns = [list(map(_mod, flat[t::k], repeat(f))) for t, f in enumerate(spec.factors)]
+        elems = iter(list(zip(*columns)) if k else [()] * len(tokens))
+        for row in chunk:
+            yield tuple(islice(elems, len(row)))
 
 
 def write_rows(spec: GroupSpec, header: str, rows) -> str:

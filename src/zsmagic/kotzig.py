@@ -193,7 +193,7 @@ def array_to_text(array) -> str:
 def array_from_text(text: str):
     """Parse a Kotzig certificate; the header's j and k must match the body."""
     header, body = read_header(text, "Kotzig array certificate", {"kotzig": 4, "kotzig-int": 3})
-    rows = [line.split() for line in body]
+    rows = map(str.split, body)
     if header[0] == "kotzig":
         spec = parse_group_spec(header[1])
         fields = header_fields(header[2:], ints=("j", "k"))

@@ -692,7 +692,7 @@ def partition_from_text(text: str) -> ZeroSumPartition:
     header, body = read_header(text, "partition certificate", {"partition": 3})
     spec = parse_group_spec(header[1])
     m = header_fields(header[2:], ints=("m",))["m"]
-    blocks = read_elements(spec, (line.split() for line in body))
+    blocks = list(read_elements(spec, map(str.split, body)))
     if any(len(block) != m for block in blocks):
         raise GroupSpecError(f"header says m={m}, a block of the body has another size")
     return ZeroSumPartition._sorted(spec, m, blocks)
@@ -708,17 +708,15 @@ def bijection_from_text(text: str) -> TripleBijection:
     n = spec.order
     if len(body) != n:
         raise GroupSpecError(f"expected {n} rows, found {len(body)}")
-    rows = [line.split() for line in body]
-    for line, row in zip(body, rows):
-        if len(row) != 3:
-            raise GroupSpecError(f"bad bijection row {line!r}")
     index = {e: i for i, e in enumerate(spec.elements())}
     phi = [-1] * n
     psi = [-1] * n
-    for g, p, q in read_elements(spec, rows):
-        g = index[g]
-        phi[g] = index[p]
-        psi[g] = index[q]
+    for line, row in zip(body, read_elements(spec, map(str.split, body))):
+        if len(row) != 3:
+            raise GroupSpecError(f"bad bijection row {line!r}")
+        g, p, q = map(index.__getitem__, row)
+        phi[g] = p
+        psi[g] = q
     if -1 in phi:
         raise GroupSpecError("bijection rows do not cover the group")
     return TripleBijection(spec, tuple(phi), tuple(psi))

@@ -323,7 +323,7 @@ class TestReadElements:
     def test_rows_roundtrip(self, spec, data):
         rows = data.draw(st.lists(st.lists(elements_of(spec), max_size=4), max_size=4))
         text = write_rows(spec, "header", rows)
-        assert read_elements(spec, [ln.split() for ln in text.splitlines()[1:]]) == [tuple(r) for r in rows]
+        assert list(read_elements(spec, [ln.split() for ln in text.splitlines()[1:]])) == [tuple(r) for r in rows]
 
     @given(
         st.sampled_from([GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 4)), GroupSpec((3, 3, 6))]),
@@ -336,11 +336,20 @@ class TestReadElements:
             expected = _read_one_by_one(spec, rows)
         except GroupSpecError:
             with pytest.raises(GroupSpecError):
-                read_elements(spec, rows)
+                list(read_elements(spec, rows))
         else:
-            assert read_elements(spec, rows) == expected
+            assert list(read_elements(spec, rows)) == expected
 
     def test_unwritten_spellings_still_read(self):
-        assert read_elements(GroupSpec((5,)), [["(7)", "-1"]]) == [((2,), (4,))]
-        assert read_elements(GroupSpec(()), [["()"], []]) == [((),), ()]
-        assert read_elements(GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]]) == [((1, 1), (1, 2))]
+        assert list(read_elements(GroupSpec((5,)), [["(7)", "-1"]])) == [((2,), (4,))]
+        assert list(read_elements(GroupSpec(()), [["()"], []])) == [((),), ()]
+        assert list(read_elements(GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]])) == [((1, 1), (1, 2))]
+
+    def test_long_bodies_read_in_chunks(self):
+        spec = GroupSpec((7, 9))
+        rows = [[f"({r % 7},{c})" for c in range(r % 5)] for r in range(5000)]
+        expected = [tuple((r % 7, c) for c in range(r % 5)) for r in range(5000)]
+        assert list(read_elements(spec, rows)) == expected
+        rows[4321][0] = "(1,2,3)"
+        with pytest.raises(GroupSpecError, match=r"element \(1, 2, 3\) has 3 coordinates"):
+            list(read_elements(spec, rows))
