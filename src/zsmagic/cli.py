@@ -24,7 +24,6 @@ from . import graphs, kotzig, oracle
 from .errors import NonexistenceError, ParameterError, ZsmagicError
 from .groups import (
     canonical_factors,
-    certificate_lines,
     format_element,
     in_class_g,
     involution_count,
@@ -157,19 +156,9 @@ def _handle_label(args):
 
 
 def _verify_payload(text: str, graph_path: str | None):
-    lines = certificate_lines(text)
-    word = lines[0].split()[0] if lines else ""
-    if word == "report":
-        kind, report = oracle.report_from_text(text)
-        if not report.found:
-            return "report", True, "no witness to check"
-        witness = report.witness
-    else:
-        kind = next((k for k, row in oracle._WITNESS_KINDS.items() if row[1] == word), None)
-        if kind is None:
-            raise ParameterError(f"unrecognised certificate kind {word!r}")
-        witness = oracle._WITNESS_KINDS[kind][3](text)
-    _cls, word, _write, _read, verify = oracle._WITNESS_KINDS[kind]
+    word, witness, verify = oracle.certificate_from_text(text)
+    if witness is None:
+        return word, True, "no witness to check"
     if verify is not None:
         check = verify(witness)
         return word, bool(check.ok), check.reason

@@ -207,12 +207,9 @@ def certificate_lines(text: str) -> list[str]:
 
 
 def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str]]:
-    """The header tokens and the body lines of a certificate.
-
-    ``counts`` maps each header word allowed to the token count of its
-    header line, or to None for any count; any other first line raises
-    ``GroupSpecError("not a <what>")``.
-    """
+    """The header tokens and the body lines of a certificate whose header word
+    is a key of ``counts`` and whose header line has that many tokens (None:
+    any count); any other first line raises ``GroupSpecError("not a <what>")``."""
     lines = certificate_lines(text)
     header = lines[0].split() if lines else []
     if not header or header[0] not in counts or counts[header[0]] not in (None, len(header)):
@@ -221,15 +218,16 @@ def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str
 
 
 def _coordinates(tokens: list[str], arity: int) -> list[int]:
-    """Every coordinate of the tokens in order, when each token is an element
-    of this arity as :func:`format_element` writes it; else ``ValueError``."""
+    """Every coordinate of the tokens in order, when each token by itself is an
+    element of this arity as :func:`format_element` writes it (joined on a newline,
+    which no token holds: ``(0,0),(0,1)`` and ``(1`` are not); else ``ValueError``."""
     if arity == 1:
         return list(map(int, tokens))
-    text = ",".join(tokens)
-    element = r"\(" + ",".join([r"[^(),]*"] * arity) + r"\)"
-    if not re.fullmatch(f"{element}(?:,{element})*", text):
+    text = "\n".join(tokens)
+    element = r"\(" + ",".join([r"[^(),\n]*"] * arity) + r"\)"
+    if not re.fullmatch(f"{element}(?:\n{element})*", text):
         raise ValueError("not a list of elements")
-    return list(map(int, text.replace("(", "").replace(")", "").split(",")))
+    return list(map(int, text.replace("(", "").replace(")", "").replace("\n", ",").split(",")))
 
 
 def read_elements(spec: GroupSpec, rows):

@@ -43,7 +43,7 @@ lesser one).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mod
@@ -55,6 +55,7 @@ from .groups import (
     GroupSpec,
     _partitions,
     abelian_groups_up_to,
+    certificate_lines,
     format_element,
     header_fields,
     involution_count,
@@ -575,25 +576,24 @@ def sized_partition_from_text(text: str):
     return spec, blocks
 
 
-# kind -> (witness type, certificate word, writer, reader, verifier).  A sized-partition
-# witness is (spec, blocks); a labeling is checked against a graph, so it has no verifier.
+# A sized-partition witness is (spec, blocks); a labeling is checked against a graph, so it has no verifier.
+_Kind = namedtuple("_Kind", "cls word write read verify")
 _WITNESS_KINDS = {
-    "zsp": (ZeroSumPartition, "partition", partition_to_text, partition_from_text,
-            lambda p: verify_zsp(p.spec, p, p.m)),
-    "bijection": (TripleBijection, "bijection", bijection_to_text, bijection_from_text,
-                  verify_triple_bijection),
-    "kotzig": (GroupKotzigArray, "kotzig", array_to_text, array_from_text, verify_kotzig),
-    "kotzig-int": (IntKotzigArray, "kotzig-int", array_to_text, array_from_text, verify_kotzig),
-    "labeling": (Labeling, "labeling", labeling_to_text, labeling_from_text, None),
-    "sized-partition": (tuple, "partition-sizes", lambda witness: sized_partition_to_text(*witness),
-                        sized_partition_from_text,
-                        lambda witness: verify_sized_partition(*witness, map(len, witness[1]))),
+    "zsp": _Kind(ZeroSumPartition, "partition", partition_to_text, partition_from_text,
+                 lambda p: verify_zsp(p.spec, p, p.m)),
+    "bijection": _Kind(TripleBijection, "bijection", bijection_to_text, bijection_from_text,
+                       verify_triple_bijection),
+    "kotzig": _Kind(GroupKotzigArray, "kotzig", array_to_text, array_from_text, verify_kotzig),
+    "kotzig-int": _Kind(IntKotzigArray, "kotzig-int", array_to_text, array_from_text, verify_kotzig),
+    "labeling": _Kind(Labeling, "labeling", labeling_to_text, labeling_from_text, None),
+    "sized-partition": _Kind(tuple, "partition-sizes", lambda w: sized_partition_to_text(*w),
+                             sized_partition_from_text, lambda w: verify_sized_partition(*w, map(len, w[1]))),
 }
 
 
 def witness_kind(witness) -> str:
-    for kind, (cls, *_rest) in _WITNESS_KINDS.items():
-        if isinstance(witness, cls):
+    for kind, row in _WITNESS_KINDS.items():
+        if isinstance(witness, row.cls):
             return kind
     raise ParameterError(f"unknown witness type {witness!r}")
 
@@ -607,7 +607,7 @@ def report_to_text(report: SearchReport, kind: str | None = None) -> str:
     )
     if report.witness is None:
         return head + "\n"
-    return head + "\n" + _WITNESS_KINDS[kind][2](report.witness)
+    return head + "\n" + _WITNESS_KINDS[kind].write(report.witness)
 
 
 def report_from_text(text: str) -> tuple[str, SearchReport]:
@@ -625,13 +625,29 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
     # a report without a witness may leave its kind unknown
     if kind not in (_WITNESS_KINDS if found else {*_WITNESS_KINDS, "unknown"}):
         raise GroupSpecError(f"unknown report kind {kind!r}")
-    witness = None
-    if found:
-        if not body:
-            raise GroupSpecError("report says found=true but carries no witness")
-        witness = _WITNESS_KINDS[kind][3]("\n".join(body))
-        if witness_kind(witness) != kind:  # one reader serves kotzig and kotzig-int
-            raise GroupSpecError(f"report kind={kind} carries a {witness_kind(witness)} witness")
-    elif body:
+    if found and not body:
+        raise GroupSpecError("report says found=true but carries no witness")
+    if body and not found:
         raise GroupSpecError("report says found=false but carries a witness")
+    witness = _WITNESS_KINDS[kind].read("\n".join(body)) if found else None
+    if found and witness_kind(witness) != kind:  # one reader serves kotzig and kotzig-int
+        raise GroupSpecError(f"report kind={kind} carries a {witness_kind(witness)} witness")
     return kind, SearchReport(found, fields["exhausted"] == "true", fields["nodes"], witness)
+
+
+def certificate_from_text(text: str):
+    """The word, the witness and the verifier (None for a labeling) of a certificate
+    or a found report; a report without a witness gives ``("report", None, None)``."""
+    lines = certificate_lines(text)
+    word = lines[0].split()[0] if lines else ""
+    if word == "report":
+        kind, report = report_from_text(text)
+        if not report.found:
+            return "report", None, None
+        row, witness = _WITNESS_KINDS[kind], report.witness
+    else:
+        row = next((row for row in _WITNESS_KINDS.values() if row.word == word), None)
+        if row is None:
+            raise ParameterError(f"unrecognised certificate kind {word!r}")
+        witness = row.read(text)
+    return row.word, witness, row.verify

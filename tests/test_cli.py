@@ -318,6 +318,29 @@ class TestVerifyExitCodes:
                 "report kind=kotzig found=true exhausted=true nodes=3\nkotzig-int k=3 j=2\n0 1 2\n2 1 0\n",
                 EXIT_INVALID, id="report-kind-contradicts-body",
             ),
+            # each token is one element: none may hold two, nor half of one
+            pytest.param(
+                "labeling Z2xZ2\n0\t(0,0),(0,1)\n1\t(1,0)\n2\t(1,1)\n3\t(1,1)\n",
+                EXIT_INVALID, id="labeling-two-elements-in-one-token",
+            ),
+            pytest.param(
+                "labeling Z2xZ2\n0\t(0,0)\n1\t(0,1)\n2\t(1\n3\t1)\n",
+                EXIT_INVALID, id="labeling-element-split-over-two-lines",
+            ),
+            pytest.param(
+                "partition Z2xZ2 m=3\n(0,0),(0,1) (1 1)\n", EXIT_INVALID, id="partition-two-elements-in-one-token"
+            ),
+            pytest.param(
+                "partition Z2xZ2 m=3\n(0,1) (1 0) (1,1)\n", EXIT_INVALID, id="partition-element-split-over-two-tokens"
+            ),
+            pytest.param(
+                "bijection Z2xZ2\n(0,0),(0,0) (0 0)\n(0,1) (0,1) (0,1)\n(1,0) (1,0) (1,0)\n(1,1) (1,1) (1,1)\n",
+                EXIT_INVALID, id="bijection-two-elements-in-one-token",
+            ),
+            pytest.param(
+                "bijection Z2xZ2\n(0,0) (0,0) (0,0)\n(0,1) (0,1) (0,1)\n(1,0) (1,0) (1,0)\n(1,1) (1 1)\n",
+                EXIT_INVALID, id="bijection-element-split-over-two-tokens",
+            ),
             pytest.param("labeling Z3\nx\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-vertex-not-integer"),
             pytest.param("labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-header-too-long"),
             pytest.param("labeling\n0\t1\n", EXIT_INVALID, id="labeling-header-too-short"),

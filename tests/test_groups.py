@@ -306,7 +306,7 @@ class TestElementText:
 
 
 # pieces of element tokens, valid and not; an element token is a few of them run together
-TOKEN_PIECES = ["(", ")", ",", "0", "1", "7", "-3", "12", " 2", "x", "", "()", "(1,2)", "1_0"]
+TOKEN_PIECES = ["(", ")", ",", "0", "1", "7", "-3", "12", " 2", "x", "", "()", "(1,2)", "1_0", "),("]
 
 
 def _read_one_by_one(spec, rows):
@@ -344,6 +344,19 @@ class TestReadElements:
         assert list(read_elements(GroupSpec((5,)), [["(7)", "-1"]])) == [((2,), (4,))]
         assert list(read_elements(GroupSpec(()), [["()"], []])) == [((),), ()]
         assert list(read_elements(GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]])) == [((1, 1), (1, 2))]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([["(0,0),(0,1)"], ["(1,0)"], ["(1,1)"]], id="two-elements-in-one-token"),
+            pytest.param([["(0,0),(0,1)", "(1 1)"]], id="two-elements-in-one-token-then-a-split-one"),
+            pytest.param([["(0,0)", "(1"], ["1)"]], id="one-element-split-over-two-tokens"),
+            pytest.param([["(0,0)", "(1", "1)"]], id="one-element-split-within-a-row"),
+        ],
+    )
+    def test_each_token_is_one_element(self, rows):
+        with pytest.raises(GroupSpecError, match="bad element"):
+            list(read_elements(GroupSpec((2, 2)), rows))
 
     def test_long_bodies_read_in_chunks(self):
         spec = GroupSpec((7, 9))
