@@ -3,10 +3,10 @@
 Every search here is a canonical backtracking that never consults the
 constructors; found witnesses are re-verified with the owning module's
 verifier before being reported.  Pruning is limited to constraints every
-completion must satisfy (injectivity, zero sums, column sums and the
-total-sum feasibility check at the root) and to the labeling normal form
-below, so ``found=False`` together with ``exhausted=True`` is a proof of
-nonexistence.
+completion must satisfy (injectivity, zero sums, column sums, equal
+labeling weights and the total-sum feasibility checks at the root) and to
+the labeling normal form below, so ``found=False`` together with
+``exhausted=True`` is a proof of nonexistence.
 
 Two kernels carry the partition, array and bijection searches: the
 sized-block kernel (zero-sum blocks with a given multiset of sizes, run by
@@ -38,6 +38,12 @@ their orbit under the stabiliser of the label of vertex 0.  The weights of
 sigma o l are u*w(x) + deg(x)*c, so sigma o l is magic exactly when l is,
 and the least magic labeling is in normal form (else a sigma gives a
 lesser one).
+
+Labeling cuts, each met by every magic labeling.  Root: on an r-regular
+graph the weights sum to n*mu = 0 and to r*sum_all(G), so r*sum_all(G) != 0
+admits none.  Pairs: w(x) - w(y) = sum l(N(x) - N(y)) - sum l(N(y) - N(x))
+is fixed once N(x) ^ N(y) is placed, no later than both weights, and must
+be 0.
 """
 
 from __future__ import annotations
@@ -389,9 +395,11 @@ def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
 def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> SearchReport:
     """Exhaustive search for a magic labeling of ``g`` by ``spec``.
 
-    Vertices take labels in index order; whenever the last neighbor of a
-    vertex is placed its weight becomes determined and must match every
-    other determined weight.
+    Vertices take labels in index order.  A regular graph whose r*sum_all
+    is not 0 is refused at the root; every other check is a pair check:
+    w(x) - w(y) is fixed once N(x) ^ N(y) is placed and must be 0 (module
+    docstring).  A pair is checked at that depth unless pairs checked no
+    later already join x and y, as their differences then add up to it.
 
     Vertices 0 and 1 take only labels in the normal form of the module
     docstring.  As sigma o l has weights u*w(x) + deg(x)*c and is magic
@@ -404,18 +412,34 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         raise ParameterError(
             f"exhaustive labeling search capped at order {LABELING_ORDER_CAP}"
         )
+    spread = math.gcd(*(d - g.degrees[0] for d in g.degrees))  # 0 on a regular graph
+    if spread == 0 and spec.scale(g.degrees[0], sum_all(spec)) != spec.identity():
+        return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
     n = g.n
     tracker = _Budget(budget)
-    ready: list[list[int]] = [[] for _ in range(n + 1)]
-    for w in range(n):
-        when = (max(g.adj[w]) + 1) if g.adj[w] else 0
-        ready[when].append(w)
+    # (depth, cost, x, y, A, B) with A = N(x) - N(y) and B = N(y) - N(x) placed by that depth
+    diffs = []
+    for x in range(n):
+        for y in range(x + 1, n):
+            a, b = set(g.adj[x]) - set(g.adj[y]), set(g.adj[y]) - set(g.adj[x])
+            if a or b:
+                diffs.append((max(a | b) + 1, len(a) + len(b), x, y, tuple(a), tuple(b)))
+    # a spanning forest of the pairs, shallowest and cheapest first: the checks at each depth
+    checks: list[list[tuple]] = [[] for _ in range(n + 1)]
+    root = list(range(n))
+    for depth, _cost, x, y, a, b in sorted(diffs):
+        while root[x] != x:
+            x = root[x]
+        while root[y] != y:
+            y = root[y]
+        if x != y:
+            root[x] = y
+            checks[depth].append((a, b))
     labels = [-1] * n
     used = [False] * n
     # the normal form, as element indices: each map is a table x -> u*x + c
     exponent = math.lcm(*spec.factors)
-    spread = math.gcd(*(d - g.degrees[0] for d in g.degrees))  # 0 on a regular graph
     units = [u for u in range(exponent) if math.gcd(u, exponent) == 1]
     shifts = [c for c, e in enumerate(elems) if spec.scale(spread, e) == spec.identity()]
     maps = [[add[spec.index_of(spec.scale(u, e))][c] for e in elems] for u in units for c in shifts]
@@ -424,13 +448,13 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         a: [b for b in range(n) if all(m[b] >= b for m in maps if m[a] == a)] for a in firsts
     }
 
-    def weight_of(w: int) -> int:
+    def _sum(vertices) -> int:
         total = 0
-        for u in g.adj[w]:
+        for u in vertices:
             total = add[total][labels[u]]
         return total
 
-    def extend(v: int, mu) -> bool:
+    def extend(v: int) -> bool:
         if v == n:
             return True
         for value in firsts if v == 0 else seconds[labels[0]] if v == 1 else range(n):
@@ -439,24 +463,18 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
             tracker.spend()
             labels[v] = value
             used[value] = True
-            new_mu = mu
-            consistent = True
-            for w in ready[v + 1]:
-                wt = weight_of(w)
-                if new_mu is None:
-                    new_mu = wt
-                elif wt != new_mu:
-                    consistent = False
+            for a, b in checks[v + 1]:
+                if _sum(a) != _sum(b):
                     break
-            if consistent and extend(v + 1, new_mu):
-                return True
+            else:
+                if extend(v + 1):
+                    return True
             used[value] = False
         return False
 
-    mu0 = 0 if ready[0] else None  # empty neighborhoods weigh the identity
     return _settle(
         tracker,
-        lambda: extend(0, mu0),
+        lambda: extend(0),
         lambda: Labeling(spec, tuple(elems[i] for i in labels)),
         lambda witness: verify_labeling(g, witness).is_magic,
     )

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
@@ -32,7 +34,7 @@ from zsmagic import (
 from zsmagic import oracle
 from zsmagic.graphs import Graph, Verdict
 from zsmagic.kotzig import ArrayCheck
-from zsmagic.groups import abelian_groups_up_to
+from zsmagic.groups import abelian_groups_up_to, sum_all
 from zsmagic.oracle import DEFAULT_BUDGET, KOTZIG_CELL_CAP
 from zsmagic.zsp import BijectionCheck, PartitionCheck
 
@@ -178,6 +180,61 @@ class TestSearchLabeling:
     def test_order_cap(self):
         with pytest.raises(ParameterError):
             search_labeling(complete_graph(13), GroupSpec((13,)))
+
+
+def _least_magic_labeling(g: Graph, factors):
+    """Brute force over all labelings, least first in the order the search
+    uses (labels by vertex index, elements in coordinate order); plain
+    modular arithmetic, no oracle."""
+    def weight(labels, x):
+        return tuple(sum(labels[u][i] for u in g.adj[x]) % f for i, f in enumerate(factors))
+
+    for labels in itertools.permutations(itertools.product(*(range(f) for f in factors))):
+        mu = weight(labels, 0)
+        if all(weight(labels, x) == mu for x in range(1, g.n)):
+            return labels
+    return None
+
+
+class TestLabelingCuts:
+    """The root check and the pair checks remove only branches with no magic
+    completion: verdicts and least witnesses agree with brute force."""
+
+    @staticmethod
+    def _random_graphs(n: int):
+        """Seeded G(n, p) graphs, then seeded circulants (regular, and magic more often)."""
+        rng = random.Random(n)
+        for density in (0.3, 0.5, 0.7):
+            yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+        for _ in range(2):
+            jumps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5]
+            yield Graph(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in jumps})
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_random_graphs_agree_with_brute_force(self, n):
+        for g in self._random_graphs(n):
+            for spec in abelian_groups_up_to(n, min_order=n):
+                least = _least_magic_labeling(g, spec.factors)
+                report = search_labeling(g, spec)
+                assert report.exhausted and report.found == (least is not None), (list(g.edges()), spec)
+                assert report.witness is None or report.witness.assignment == least
+
+    def test_regular_atlas_rows_with_nonzero_total_decided_at_root(self):
+        nx = pytest.importorskip("networkx")
+        decided = 0
+        for atlas_graph in nx.graph_atlas_g():
+            g = Graph(atlas_graph.number_of_nodes(), atlas_graph.edges())
+            if g.n == 0 or not g.is_regular:
+                continue
+            for spec in abelian_groups_up_to(g.n, min_order=g.n):
+                if spec.scale(g.degrees[0], sum_all(spec)) != spec.identity():
+                    assert search_labeling(g, spec) == oracle.SearchReport(False, True, 0)
+                    decided += 1
+        assert decided > 0
+
+    def test_k12_over_z2xz6_exhausts_within_a_small_budget(self):
+        report = search_labeling(complete_graph(12), parse_group_spec("Z2xZ6"), budget=1000)
+        assert not report.found and report.exhausted
 
 
 class TestConjectureScan:
