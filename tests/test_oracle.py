@@ -399,7 +399,7 @@ _SWEEPS = {
         ("scan", 689, "fed8655840dddd4fa75b85924c36b92cf04cd32d31e9b5a5db92ab00c74d5abc"),
         ("kotzig", 1083, "e4ffed883c432ac7410f9117d60930f279cc60191360a4835252ee6bb2ef53b2"),
         ("bijection", 56, "fe0c6a8c410baee71e05d5cdcad7363fc2ce3877a46a01c31346e8377d00547f"),
-        ("labeling", 95, "a34ecc4e5cc78ef34dfc4a544871d19e5cf49d179dfc6c84eeb8bd7b7ed573fb"),
+        ("labeling", 95, "0268ba89fe3a2dd4b138414efa55e21f7f1204d52acc07465b3300eebf9cd7bd"),
     ],
 )
 def test_pinned_reports(name, count, digest):
