@@ -633,14 +633,16 @@ def report_from_text(text: str) -> tuple[str, SearchReport]:
     the certificate of its kind."""
     header, body = read_header(text, "search report", {"report": None})
     fields = header_fields(header[1:], ints=("nodes",))
+    if len(header) != 5 or fields.keys() != {"kind", "found", "exhausted", "nodes"}:
+        raise GroupSpecError("a report header has kind=, found=, exhausted= and nodes=, once each")
     for key in ("found", "exhausted"):
         if fields.get(key) not in ("true", "false"):
             raise GroupSpecError(f"header needs {key}=true or {key}=false")
     if fields["nodes"] < 0:
         raise GroupSpecError(f"header says nodes={fields['nodes']}, a count cannot be negative")
-    kind = fields.get("kind", "unknown")
+    kind = fields["kind"]
     found = fields["found"] == "true"
-    # a report without a witness may leave its kind unknown
+    # a report without a witness may say kind=unknown, as report_to_text writes it
     if kind not in (_WITNESS_KINDS if found else {*_WITNESS_KINDS, "unknown"}):
         raise GroupSpecError(f"unknown report kind {kind!r}")
     if found and not body:

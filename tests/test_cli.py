@@ -309,6 +309,14 @@ class TestVerifyExitCodes:
                 EXIT_INVALID, id="report-found-missing",
             ),
             pytest.param("report kind=zsp found=false nodes=3\n", EXIT_INVALID, id="report-exhausted-missing"),
+            pytest.param("report found=false exhausted=true nodes=0\n", EXIT_INVALID, id="report-kind-missing"),
+            pytest.param(
+                "report kind=zsp found=false exhausted=true nodes=0 budget=oops\n",
+                EXIT_INVALID, id="report-unknown-field",
+            ),
+            pytest.param(
+                "report kind=zsp kind=zsp found=false exhausted=true nodes=0\n", EXIT_INVALID, id="report-field-twice"
+            ),
             pytest.param("report kind=zsp found=false exhausted=true nodes=-3\n", EXIT_INVALID, id="report-nodes-negative"),
             pytest.param(
                 "report kind=zsp found=false exhausted=true nodes=3\npartition Z9 m=3\n0 1 2\n3 4 5\n6 7 8\n",
