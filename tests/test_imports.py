@@ -1,6 +1,10 @@
-"""Every module of the package uses each name it imports; ``__init__`` only re-exports."""
+"""Every module of the package uses each name it imports; ``__init__`` only re-exports.
+The runtime imports the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +36,13 @@ def test_only_groups_parses_elements(path):
         if getattr(node, "id", getattr(node, "attr", None)) == "parse_element"
     ]
     assert uses == []
+
+
+def test_cli_imports_no_third_party_package():
+    """``import zsmagic.cli`` in a fresh interpreter loads none of the packages
+    the tests use, so every command pays for the standard library only."""
+    probe = "import sys, zsmagic.cli; print(sorted({'networkx', 'numpy', 'sympy', 'hypothesis'} & set(sys.modules)))"
+    src = str(Path(zsmagic.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
