@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from zsmagic import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    eulerian_bipartite_label,
     graph_from_text,
     graph_to_text,
     labeling_from_text,
@@ -34,7 +36,7 @@ from zsmagic import (
     zsp,
 )
 from zsmagic.errors import ZsmagicError
-from zsmagic.groups import DEFAULT_ORDER_BOUND
+from zsmagic.groups import DEFAULT_ORDER_BOUND, abelian_isomorphism_classes
 from zsmagic.oracle import (
     SearchReport,
     conjecture_scan,
@@ -240,6 +242,30 @@ def test_pinned_certificates(name, digest):
     """One certificate per family, byte for byte as the constructors print it."""
     text = _pinned_texts()[name]()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pinned_two_part_lifts():
+    """The certificates built by lifting along the 2-part / odd-part split, byte for
+    byte: odd-m partitions of even-order groups whose odd part is spread over several
+    factors, in every coordinate order, and the eulerian labelings of C6, C10 and C14
+    blown up by odd fibres, over every group of each order in three presentations."""
+    texts = []
+    for base in ((2, 6, 10), (4, 6, 9), (12, 20), (2, 2, 4, 8, 3)):
+        for factors in sorted(set(permutations(base))):
+            spec = GroupSpec(factors)
+            for m in range(3, spec.order + 1, 2):
+                if spec.order % m == 0:
+                    texts.append(partition_to_text(zsp(spec, m)))
+    for n in (6, 10, 14):
+        for k in (3, 5, 7, 9):
+            classes = abelian_isomorphism_classes(n * k)
+            merged = [GroupSpec((2 * c.factors[1],) + c.factors[2:]) for c in classes]
+            for spec in classes + merged + [GroupSpec((n * k,))]:
+                texts.append(labeling_to_text(eulerian_bipartite_label(cycle_graph(n), k, spec)))
+    assert len(texts) == 152
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "6702ccd79b9bf858c46d37fa70089cab11cd56f87591da89ee9f0f22aeaaf8aa"
+    )
 
 
 def _fuzz_corpus():
