@@ -47,12 +47,16 @@ for text in ("Z7", "Z6", "Z2xZ2xZ4"):
 print("canonical(Z6) =", canonical_factors(parse_group_spec("Z6")))
 print("canonical(Z2xZ3) =", canonical_factors(parse_group_spec("Z2xZ3")))
 
-# Every group splits as (2-part) x (odd part); the split is an isomorphism.
-split = two_part_split(parse_group_spec("Z12xZ6"))
+# Every group splits as (2-part) x (odd part), as an index table: merged[t * |odd| + o]
+# is the index of the element whose 2-part has index t and whose odd part has index o.
+spec = parse_group_spec("Z12xZ6")
+two_spec, odd_spec, merged = two_part_split(spec)
 x = (7, 5)
-two, odd = split.split(x)
-assert split.merge(two, odd) == x
+two, odd = (7 % 4, 5 % 2), (7 % 3, 5 % 3)  # the residues of each coordinate, CRT style
+t, o = two_spec.index_of(two), odd_spec.index_of(odd)
+assert spec.element_at(merged[t * odd_spec.order + o]) == x
+assert sorted(merged) == list(range(spec.order))  # the split is a bijection
 print(
-    f"Z12xZ6 = ({split.two_spec}) x ({split.odd_spec}); "
+    f"{spec} = ({two_spec}) x ({odd_spec}); "
     f"{format_element(x)} splits as {format_element(two)} + {format_element(odd)}"
 )

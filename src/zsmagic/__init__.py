@@ -44,10 +44,8 @@ from .groups import (
     in_class_g,
     involution_count,
     involutions,
-    is_isomorphic,
     parse_element,
     parse_group_spec,
-    prime_power_refinement,
     sum_all,
     two_part_split,
     two_torsion_rank,

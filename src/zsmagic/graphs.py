@@ -343,16 +343,16 @@ def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
     if bip is None:
         raise ParameterError("base graph has no bipartition with equal sides")
     v1, v2 = bip
-    split = two_part_split(spec)
-    if split.two_spec.order != 2:
+    two_spec, odd_spec, merged = two_part_split(spec)
+    if two_spec.order != 2:
         raise ParameterError(f"{spec} does not split as Z2 x (odd order)")
-    partition = zsp(split.odd_spec, n_odd)
+    partition = zsp(odd_spec, n_odd)
+    elems = spec.elements()
     assignment: list[Element | None] = [None] * spec.order
-    for side, bit in ((v1, (0,)), (v2, (1,))):
-        for i, u in enumerate(side):
-            block = partition.blocks[i]
+    for side, offset in ((v1, 0), (v2, odd_spec.order)):
+        for u, block in zip(side, partition.blocks):
             for t, a in enumerate(block):
-                assignment[u * n_odd + t] = split.merge(bit, a)
+                assignment[u * n_odd + t] = elems[merged[offset + odd_spec.index_of(a)]]
     return Labeling(spec, tuple(assignment))
 
 

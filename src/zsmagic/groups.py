@@ -20,10 +20,17 @@ from .errors import ArityError, GroupSpecError, ParameterError
 
 Element = tuple[int, ...]
 
-#: Largest group order `elements()` will materialise.
+#: Largest group order (and integer column count) that anything is built for.
 DEFAULT_ORDER_BOUND = 1 << 20
 
 _TOKEN_RE = re.compile(r"[zZ]([0-9]+)")
+
+
+def check_order(n: int, what: str = "group order") -> None:
+    """Refuse a size above ``DEFAULT_ORDER_BOUND``; constructors call this
+    before they factor, allocate or build anything of that size."""
+    if n > DEFAULT_ORDER_BOUND:
+        raise ParameterError(f"{what} {n} exceeds the bound {DEFAULT_ORDER_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,15 @@ class GroupSpec:
     @property
     def arity(self) -> int:
         return len(self.factors)
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """The index weight of each coordinate: the product of the later factors."""
+        out, s = [], 1
+        for f in reversed(self.factors):
+            out.append(s)
+            s *= f
+        return tuple(reversed(out))
 
     def __str__(self) -> str:
         if not self.factors:
@@ -105,10 +121,7 @@ class GroupSpec:
 
     def elements(self) -> list[Element]:
         """All elements in mixed-radix (enumeration) order."""
-        if self.order > DEFAULT_ORDER_BOUND:
-            raise ParameterError(
-                f"group order {self.order} exceeds enumeration bound {DEFAULT_ORDER_BOUND}"
-            )
+        check_order(self.order)
         return [tuple(c) for c in _cartesian(*(range(f) for f in self.factors))]
 
     def element_at(self, index: int) -> Element:
@@ -295,10 +308,6 @@ def canonical_factors(spec: GroupSpec) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
-def is_isomorphic(a: GroupSpec, b: GroupSpec) -> bool:
-    return canonical_factors(a) == canonical_factors(b)
-
-
 def two_torsion_rank(spec: GroupSpec) -> int:
     """Number of even canonical components; the group has 2^rank - 1 involutions."""
     return sum(1 for f in spec.factors if f % 2 == 0)
@@ -333,98 +342,37 @@ def in_class_g(spec: GroupSpec) -> bool:
     return spec.order % 2 == 1 or two_torsion_rank(spec) >= 2
 
 
-# -- CRT refinement and the 2-part / odd-part split ---------------------------
+# -- the 2-part / odd-part split ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Refinement:
-    """Isomorphism between a presentation and its prime-power refinement."""
+def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:
+    """The group as (2-part) x (odd part), by the Chinese remainder theorem.
 
-    original: GroupSpec
-    refined: GroupSpec
-    _splits: tuple[tuple[int, ...], ...]
-    _coeffs: tuple[tuple[int, ...], ...]
-
-    def to_refined(self, a) -> Element:
-        a = self.original.reduce(a)
-        out: list[int] = []
-        for x, qs in zip(a, self._splits):
-            out.extend(x % q for q in qs)
-        return tuple(out)
-
-    def from_refined(self, r) -> Element:
-        r = self.refined.reduce(r)
-        out = []
-        pos = 0
-        for f, qs, cs in zip(self.original.factors, self._splits, self._coeffs):
-            x = 0
-            for q, c in zip(qs, cs):
-                x = (x + r[pos] * c) % f
-                pos += 1
-            out.append(x)
-        return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def prime_power_refinement(spec: GroupSpec) -> Refinement:
-    """Split every factor into prime-power coordinates (CRT both ways)."""
-    splits = []
-    coeffs = []
-    refined: list[int] = []
-    for f in spec.factors:
-        qs = tuple(p**e for p, e in _factorize(f))
-        cs = []
+    Returns ``(two_spec, odd_spec, merged)``.  Each factor f = 2^a * q gives
+    ``two_spec`` its factor 2^a (when a > 0) and ``odd_spec`` the prime
+    powers of q, primes ascending.  ``merged[t * odd_spec.order + o]`` is the
+    index in ``spec`` of the element whose 2-part has index t and whose odd
+    part has index o.  Each factor gets a table of size f, holding the code
+    t * odd_spec.order + o that each residue adds; the codes of the elements
+    are the outer sum of those tables, and ``merged`` inverts them.
+    """
+    check_order(spec.order)
+    parts = [[p**e for p, e in _factorize(f)] for f in spec.factors]
+    two_spec = GroupSpec(tuple(qs[0] for qs in parts if qs[0] % 2 == 0))
+    odd_spec = GroupSpec(tuple(q for qs in parts for q in qs if q % 2))
+    two_weights = iter([s * odd_spec.order for s in two_spec.strides])
+    odd_weights = iter(odd_spec.strides)
+    codes = [0]
+    for f, qs in zip(spec.factors, parts):
+        table = [0] * f
         for q in qs:
-            m = f // q
-            cs.append((m * pow(m, -1, q)) % f)
-        splits.append(qs)
-        coeffs.append(tuple(cs))
-        refined.extend(qs)
-    return Refinement(spec, GroupSpec(tuple(refined)), tuple(splits), tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class TwoPartSplit:
-    """Decomposition of a group as (2-part) x (odd part)."""
-
-    original: GroupSpec
-    two_spec: GroupSpec
-    odd_spec: GroupSpec
-    _refinement: Refinement
-    _two_pos: tuple[int, ...]
-    _odd_pos: tuple[int, ...]
-
-    def split(self, a) -> tuple[Element, Element]:
-        r = self._refinement.to_refined(a)
-        return (
-            tuple(r[i] for i in self._two_pos),
-            tuple(r[i] for i in self._odd_pos),
-        )
-
-    def merge(self, two_part, odd_part) -> Element:
-        two_part = self.two_spec.reduce(two_part)
-        odd_part = self.odd_spec.reduce(odd_part)
-        r = [0] * self._refinement.refined.arity
-        for i, x in zip(self._two_pos, two_part):
-            r[i] = x
-        for i, x in zip(self._odd_pos, odd_part):
-            r[i] = x
-        return self._refinement.from_refined(tuple(r))
-
-
-@lru_cache(maxsize=None)
-def two_part_split(spec: GroupSpec) -> TwoPartSplit:
-    ref = prime_power_refinement(spec)
-    two_pos = tuple(i for i, f in enumerate(ref.refined.factors) if f % 2 == 0)
-    odd_pos = tuple(i for i, f in enumerate(ref.refined.factors) if f % 2 == 1)
-    return TwoPartSplit(
-        spec,
-        GroupSpec(tuple(ref.refined.factors[i] for i in two_pos)),
-        GroupSpec(tuple(ref.refined.factors[i] for i in odd_pos)),
-        ref,
-        two_pos,
-        odd_pos,
-    )
+            w = next(odd_weights if q % 2 else two_weights)
+            table = list(map(_add, table, [x * w for x in range(q)] * (f // q)))
+        codes = [c + x for c in codes for x in table]
+    merged = [0] * len(codes)
+    for g, c in enumerate(codes):
+        merged[c] = g
+    return two_spec, odd_spec, merged
 
 
 # -- isomorphism class enumeration --------------------------------------------

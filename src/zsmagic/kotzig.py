@@ -16,8 +16,8 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, header_fields, in_class_g, parse_group_spec, parse_ints
-from .groups import read_elements, read_header, write_rows
+from .groups import Element, GroupSpec, check_order, header_fields, in_class_g, parse_group_spec
+from .groups import parse_ints, read_elements, read_header, write_rows
 from .zsp import triple_bijection
 
 
@@ -163,6 +163,7 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
     """
     if j < 1 or k < 1:
         raise ParameterError(f"grid dimensions must be positive, got {j} x {k}")
+    check_order(k, "column count")
     if j == 1:
         raise ImpossibilityError("a 1 x k array has constant column sums only for k = 1")
     if (j * (k - 1)) % 2 != 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import mod
 
 from .errors import (
@@ -35,11 +35,11 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
+    check_order,
     format_element,
     header_fields,
     in_class_g,
     parse_group_spec,
-    prime_power_refinement,
     read_elements,
     read_header,
     two_part_split,
@@ -59,12 +59,6 @@ class TripleBijection:
     spec: GroupSpec
     phi: tuple[int, ...]
     psi: tuple[int, ...]
-
-    def phi_of(self, g) -> Element:
-        return self.spec.element_at(self.phi[self.spec.index_of(g)])
-
-    def psi_of(self, g) -> Element:
-        return self.spec.element_at(self.psi[self.spec.index_of(g)])
 
     def columns(self) -> list[tuple[Element, Element, Element]]:
         """(g, phi(g), psi(g)) triples in enumeration order of g."""
@@ -292,92 +286,70 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 
 
 # -- triple bijections: ladder ---------------------------------------------------
+#
+# Every rung builds phi alone, as a list: phi[i] is the index of the image of
+# the element with index i.
 
 
-def _phi_from_tb(tb: TripleBijection) -> dict:
-    elems = tb.spec.elements()
-    return {g: elems[p] for g, p in zip(elems, tb.phi)}
+def _sum_codes(spec: GroupSpec, xs, ys, sign: int = 1) -> list[int]:
+    """Indices of sign * (x + y) for the paired element indices x, y, one
+    coordinate column at a time."""
+    out = [0] * len(xs)
+    for f, s in zip(spec.factors, spec.strides):
+        out = [o + sign * (x // s + y // s) % f * s for o, x, y in zip(out, xs, ys)]
+    return out
 
 
-def _tb_from_phi(spec: GroupSpec, phi: dict) -> TripleBijection:
-    """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced.
-
-    Every rung of the ladder builds phi alone, a dict on the elements; this
-    is the one place psi is computed.
-    """
-    elems = spec.elements()
-    images = [phi[g] for g in elems]
-    index = spec.index_of  # reduces each coordinate, so -g - phi(g) is passed unreduced
-    psi = [index([-x - y for x, y in zip(g, p)]) for g, p in zip(elems, images)]
-    return TripleBijection(spec, tuple(map(index, images)), tuple(psi))
+def _tb_from_phi(spec: GroupSpec, phi: list[int]) -> TripleBijection:
+    """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced,
+    and this is the one place it is computed."""
+    return TripleBijection(spec, tuple(phi), tuple(_sum_codes(spec, range(spec.order), phi, -1)))
 
 
-def _odd_order_phi(spec: GroupSpec) -> dict:
-    return {g: g for g in spec.elements()}
+def _box_codes(factors, weights) -> list[int]:
+    """The sum of x_i * weights[i] for every tuple x with 0 <= x_i < factors[i],
+    in mixed-radix order."""
+    out = [0]
+    for f, w in zip(factors, weights):
+        out = [c + x for c in out for x in range(0, f * w, w)]
+    return out
 
 
-def _table_phi(spec: GroupSpec) -> dict:
-    """Seed-table phi for any coordinate permutation of (2, 2, 2^k), k <= 3."""
-    key = tuple(sorted(spec.factors))
-    tphi = _phi_from_tb(base_tables()[key])
-    sigma = sorted(range(3), key=lambda i: (spec.factors[i], i))
-
-    def permute(g):
-        return tuple(g[sigma[j]] for j in range(3))
-
-    def unpermute(g):
-        out = [0, 0, 0]
-        for j in range(3):
-            out[sigma[j]] = g[j]
-        return tuple(out)
-
-    return {g: unpermute(tphi[permute(g)]) for g in spec.elements()}
+def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
+    """phi for a coordinate permutation of the presentation with its factors
+    ascending, from ``phi_of_sorted`` of that sorted factor tuple."""
+    sigma = sorted(range(spec.arity), key=lambda i: (spec.factors[i], i))
+    factors = tuple(spec.factors[i] for i in sigma)
+    weight = dict(zip(sigma, GroupSpec(factors).strides))
+    to_sorted = _box_codes(spec.factors, [weight[i] for i in range(spec.arity)])
+    back = _box_codes(factors, [spec.strides[i] for i in sigma])
+    sorted_phi = phi_of_sorted(factors)
+    return [back[sorted_phi[c]] for c in to_sorted]
 
 
-def _product_phi(spec: GroupSpec, pos_a, pos_b) -> dict:
-    phi_a = _ladder_phi(GroupSpec(tuple(spec.factors[i] for i in pos_a)))
-    phi_b = _ladder_phi(GroupSpec(tuple(spec.factors[i] for i in pos_b)))
-
-    def scatter(ea, eb):
-        out = [0] * spec.arity
-        for i, x in zip(pos_a, ea):
-            out[i] = x
-        for i, x in zip(pos_b, eb):
-            out[i] = x
-        return tuple(out)
-
-    return {
-        g: scatter(phi_a[tuple(g[i] for i in pos_a)], phi_b[tuple(g[i] for i in pos_b)])
-        for g in spec.elements()
-    }
-
-
-def _subgroup_phi(spec: GroupSpec, mults) -> dict:
-    """Ladder phi of the subgroup H generated by mults[i] * e_i, as a map
-    on the elements of H inside ``spec``."""
+def _subgroup_phi(spec: GroupSpec, mults) -> tuple[list[int], list[int]]:
+    """The indices in ``spec`` of the subgroup H generated by the mults[i] * e_i,
+    and of their images under H's ladder phi."""
     sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-
-    def embed(e_sub) -> Element:
-        return tuple(x * m for x, m in zip(e_sub, mults))
-
-    return {embed(b): embed(v) for b, v in _ladder_phi(sub).items()}
+    embed = _box_codes(sub.factors, [m * s for m, s in zip(mults, spec.strides)])
+    return embed, [embed[v] for v in _ladder_phi(sub)]
 
 
-def _lift_triples(spec: GroupSpec, sub_phi: dict, r0: Element, r1: Element, phi: dict) -> None:
+def _lift_triples(spec: GroupSpec, sub, r0: Element, r1: Element, phi: list[int]) -> None:
     """Fill phi on the cosets r0 + H, r1 + H and -(r0 + r1) + H.
 
-    ``sub_phi`` is the phi of a triple bijection of H.  For each b in H the
-    triple t0 = r0 + b, t1 = r1 + phi0(b), t2 = -(t0 + t1) sums to zero, and
-    t2 runs over the third coset because -b - phi0(b) = psi0(b) runs over H;
-    phi maps each entry to the next one.
+    ``sub`` holds H and its images under the phi of a triple bijection of H.
+    For each b in H the triple t0 = r0 + b, t1 = r1 + phi0(b), t2 = -(t0 + t1)
+    sums to zero, and t2 runs over the third coset because -b - phi0(b) =
+    psi0(b) runs over H; phi maps each entry to the next one.
     """
-    for b, b1 in sub_phi.items():
-        t0 = spec.add(r0, b)
-        t1 = spec.add(r1, b1)
-        t2 = spec.neg(spec.add(t0, t1))
-        phi[t0] = t1
-        phi[t1] = t2
-        phi[t2] = t0
+    hs, images = sub
+    t0 = _sum_codes(spec, hs, [spec.index_of(r0)] * len(hs))
+    t1 = _sum_codes(spec, images, [spec.index_of(r1)] * len(hs))
+    for a, b, c in zip(t0, t1, _sum_codes(spec, t0, t1, -1)):
+        phi[a] = b
+        phi[b] = c
+        phi[c] = a
 
 
 def _unit(pos: int, value: int = 1) -> Element:
@@ -386,7 +358,7 @@ def _unit(pos: int, value: int = 1) -> Element:
     return tuple(e)
 
 
-def _quotient22_phi(spec: GroupSpec) -> dict:
+def _quotient22_phi(spec: GroupSpec) -> list[int]:
     """Lift through an index-4 subgroup with quotient Z2 x Z2.
 
     Applies to three-factor 2-groups whose two largest exponents are at
@@ -398,13 +370,15 @@ def _quotient22_phi(spec: GroupSpec) -> dict:
     mults = [1, 1, 1]
     mults[pb] = 2
     mults[pc] = 2
-    sub_phi = _subgroup_phi(spec, mults)
-    phi = dict(sub_phi)  # a copy: the lift reads sub_phi while it fills phi
-    _lift_triples(spec, sub_phi, _unit(pb), _unit(pc), phi)
+    sub = _subgroup_phi(spec, mults)
+    phi = [0] * spec.order
+    for h, v in zip(*sub):
+        phi[h] = v
+    _lift_triples(spec, sub, _unit(pb), _unit(pc), phi)
     return phi
 
 
-def _quotient8_phi(spec: GroupSpec) -> dict:
+def _quotient8_phi(spec: GroupSpec) -> list[int]:
     """Lift through an index-8 subgroup with cyclic quotient Z8.
 
     Applies to Z2 x Z2 x Z2^k with k >= 4 (any coordinate order).  The
@@ -417,114 +391,92 @@ def _quotient8_phi(spec: GroupSpec) -> dict:
     mults0[pz] = 8
     mults1 = [1, 1, 1]
     mults1[pz] = 4
-    sub_phi = _subgroup_phi(spec, mults0)
+    sub = _subgroup_phi(spec, mults0)
     c = _unit(pz, 1)
     d = _unit(pz, 2)
-    phi = _subgroup_phi(spec, mults1)
-    _lift_triples(spec, sub_phi, c, d, phi)
-    _lift_triples(spec, sub_phi, spec.neg(c), spec.neg(d), phi)
+    phi = [0] * spec.order
+    for h, v in zip(*_subgroup_phi(spec, mults1)):
+        phi[h] = v
+    _lift_triples(spec, sub, c, d, phi)
+    _lift_triples(spec, sub, spec.neg(c), spec.neg(d), phi)
     return phi
 
 
-def _fibonacci_phi(spec: GroupSpec) -> dict:
-    """phi for Z_m x Z_m: (x, y) -> (y, x + y).
-
-    Both the map and its sum with the identity are linear with unit
-    determinant mod m, so phi and g -> g + phi(g) are bijections.
-    """
-    m = spec.factors[0]
-    return {g: ((g[1]) % m, (g[0] + g[1]) % m) for g in spec.elements()}
-
-
-def _sorted_two_factor_phi(spec: GroupSpec) -> dict:
+def _sorted_two_factor_phi(factors: tuple[int, int]) -> list[int]:
     """phi for Z_m x Z_n (m <= n, both powers of 2, m >= 2).
 
-    Doubling step: embed H = Z_m x Z_{n/2} as the even second coordinates,
-    take H's map u recursively, and split both cosets of H along
-    S = {h : h + u(h) has even first coordinate}.  On S the H-coset keeps
-    u and the other coset uses u shifted by delta = (1, 0) pushed across;
-    off S the roles swap.  The shift lands each piece's sums in
-    complementary halves, so g -> -g - phi(g) stays bijective.
+    Base case m = n: (x, y) -> (y, x + y).  Both the map and its sum with
+    the identity are linear with unit determinant mod m, so phi and
+    g -> g + phi(g) are bijections.
+
+    Doubling step: embed H = Z_m x Z_{n/2} as the even second coordinates
+    (h has index i in H, 2h index 2i here), take H's map u recursively, and
+    split both cosets of H along S = {h : h + u(h) has even first
+    coordinate}.  On S the H-coset keeps u and the other coset c + H, c =
+    (0, 1), uses u shifted by delta = (1, 0) pushed across; off S the roles
+    swap.  The shift lands each piece's sums in complementary halves, so
+    g -> -g - phi(g) stays bijective.
     """
-    m, n = spec.factors
+    m, n = factors
     if m == n:
-        return _fibonacci_phi(spec)
-    sub = GroupSpec((m, n // 2))
-    u = _sorted_two_factor_phi(sub)
-    in_even_half = {}
-    for h in sub.elements():
-        t = sub.add(h, u[h])
-        in_even_half[h] = t[0] % 2 == 0
-    delta = (1, 0)
-    c = (0, 1)
-    phi = {}
-    for h in sub.elements():
-        g = (h[0], 2 * h[1])
-        gc = spec.add(c, g)
-        straight = (u[h][0], 2 * u[h][1])
-        ud = sub.add(u[h], delta)
-        shifted = spec.add(c, (ud[0], 2 * ud[1]))
-        if in_even_half[h]:
-            phi[g] = straight
-            phi[gc] = shifted
-        else:
-            phi[g] = shifted
-            phi[gc] = straight
+        return [y * m + (x + y) % m for x in range(m) for y in range(m)]
+    half = n // 2
+    u = _sorted_two_factor_phi((m, half))
+    straight = [2 * v for v in u]
+    shifted = [(2 * v + n) % (m * n) + 1 for v in u]
+    in_s = [(i // half + v // half) % 2 == 0 for i, v in enumerate(u)]
+    phi = [0] * (m * n)
+    phi[0::2] = [a if k else b for a, b, k in zip(straight, shifted, in_s)]
+    phi[1::2] = [b if k else a for a, b, k in zip(straight, shifted, in_s)]
     return phi
 
 
-def _two_factor_phi(spec: GroupSpec) -> dict:
-    lo, hi = sorted(range(2), key=lambda i: (spec.factors[i], i))
-    phi_sorted = _sorted_two_factor_phi(GroupSpec((spec.factors[lo], spec.factors[hi])))
-    step = 1 if lo == 0 else -1  # reverses the coordinates when the larger factor comes first
-    return {g: phi_sorted[g[::step]][::step] for g in spec.elements()}
-
-
-def _ladder_phi(spec: GroupSpec) -> dict:
-    """Strategy ladder on a prime-power presentation known to admit a solution."""
-    if spec.order % 2 == 1:
-        return _odd_order_phi(spec)
-    evens = [i for i, f in enumerate(spec.factors) if f % 2 == 0]
-    odds = [i for i, f in enumerate(spec.factors) if f % 2 == 1]
-    if odds:
-        return _product_phi(spec, evens, odds)
-    # pure 2-group
-    k = len(spec.factors)
+def _ladder_phi(spec: GroupSpec) -> list[int]:
+    """Strategy ladder on a 2-group presentation known to admit a solution
+    (or on the trivial group)."""
+    k = spec.arity
+    if k == 0:
+        return [0]
     if k >= 4:
-        return _product_phi(spec, [0, 1], list(range(2, k)))
+        # a 2-group of rank >= 4: Z_f0 x Z_f1 times the rest, both of rank >= 2
+        phi_b = _ladder_phi(GroupSpec(spec.factors[2:]))
+        n_b = len(phi_b)
+        return [a * n_b + b for a in _ladder_phi(GroupSpec(spec.factors[:2])) for b in phi_b]
     if k == 3:
         exps = sorted(f.bit_length() - 1 for f in spec.factors)
         if exps[0] == 1 and exps[1] == 1 and exps[2] <= 3:
-            return _table_phi(spec)
+            return _sorted_phi(spec, lambda factors: base_tables()[factors].phi)
         if exps[1] >= 2:
             return _quotient22_phi(spec)
         return _quotient8_phi(spec)
-    return _two_factor_phi(spec)
+    return _sorted_phi(spec, _sorted_two_factor_phi)
 
 
 def triple_bijection(spec: GroupSpec) -> TripleBijection:
     """Build a triple bijection for any group of odd order or with more
     than one involution; callers verify it (the CLI does).
 
-    Strategy order: odd-order closed form, componentwise product of two
-    admissible parts, seed tables, the two quotient liftings, the
-    two-factor doubling construction.  Each rung builds phi only, since
-    psi(g) = -g - phi(g) is forced.  Mixed cyclic factors are refined to
-    prime powers internally and phi is translated back to the given
-    presentation.
+    The group splits as (2-part) x (odd part).  A triple bijection of the
+    2-part times the identity on the odd part is one of the whole group:
+    the identity on an odd-order group is one, since g + g + (-2g) = 0 and
+    g -> -2g is a bijection there.  So the ladder runs on the 2-part only,
+    and its phi is carried to the group through the split.  Strategy order
+    on the 2-part: componentwise product of two admissible parts, seed
+    tables, the two quotient liftings, the two-factor doubling
+    construction.  Each rung builds phi only, since psi(g) = -g - phi(g) is
+    forced.
     """
     if not in_class_g(spec):
         raise NonexistenceError(
             f"{spec} has exactly one involution, so the element sum is that "
             "involution and no triple bijection exists"
         )
-    if spec.order % 2 == 1:
-        return _tb_from_phi(spec, _odd_order_phi(spec))
-    ref = prime_power_refinement(spec)
-    phi = _ladder_phi(ref.refined)
-    if ref.refined != spec:
-        back = {r: ref.from_refined(r) for r in phi}
-        phi = {back[r]: back[v] for r, v in phi.items()}
+    two_spec, odd_spec, merged = two_part_split(spec)
+    n_odd = odd_spec.order
+    images = chain.from_iterable(merged[p * n_odd : (p + 1) * n_odd] for p in _ladder_phi(two_spec))
+    phi = [0] * spec.order
+    for g, v in zip(merged, images):
+        phi[g] = v
     return _tb_from_phi(spec, phi)
 
 
@@ -546,6 +498,7 @@ def _inverse_pairs(spec: GroupSpec, exclude: set[Element]) -> list[tuple[Element
 
 
 def _check_admissible(spec: GroupSpec, m: int) -> None:
+    check_order(spec.order)
     if spec.order % m != 0:
         raise DivisibilityError(f"{m} does not divide group order {spec.order}")
     if not in_class_g(spec):
@@ -643,20 +596,19 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     if spec.order % 2 == 1:
         partition = _odd_base_partition(spec, m)
     else:
-        split = two_part_split(spec)
-        two_spec = split.two_spec
-        lam_partition = _odd_base_partition(split.odd_spec, m)
+        two_spec, odd_spec, merged = two_part_split(spec)
+        n_odd = odd_spec.order
+        odd_partition = _odd_base_partition(odd_spec, m)
+        odd_blocks = [list(map(odd_spec.index_of, block)) for block in odd_partition.blocks]
         tb = triple_bijection(two_spec)
         shrink = pow(m - 2, -1, math.lcm(*two_spec.factors))
-        two_elems = two_spec.elements()
+        elems = spec.elements()
         blocks = []
-        for w, p, q in zip(two_elems, tb.phi, tb.psi):
-            phi_w, psi_w = two_elems[p], two_elems[q]
-            gamma_inv_w = two_spec.scale(shrink, w)
-            for block in lam_partition.blocks:
-                lifted = [split.merge(phi_w, block[0]), split.merge(psi_w, block[1])]
-                lifted.extend(split.merge(gamma_inv_w, a) for a in block[2:])
-                blocks.append(lifted)
+        for w, p, q in zip(two_spec.elements(), tb.phi, tb.psi):
+            shrunk = two_spec.index_of(two_spec.scale(shrink, w))
+            offsets = [p * n_odd, q * n_odd] + [shrunk * n_odd] * (m - 2)
+            for block in odd_blocks:
+                blocks.append([elems[merged[t + a]] for t, a in zip(offsets, block)])
         partition = ZeroSumPartition._sorted(spec, m, blocks)
     return _checked(partition)
 

@@ -17,3 +17,9 @@ def group_specs(max_order: int = 64, max_factors: int = 3, max_factor: int = 16)
 
 def elements_of(spec: GroupSpec):
     return st.integers(0, spec.order - 1).map(spec.element_at)
+
+
+def images(tb, g):
+    """(phi(g), psi(g)) of a triple bijection, read from its index tables."""
+    i = tb.spec.index_of(g)
+    return tb.spec.element_at(tb.phi[i]), tb.spec.element_at(tb.psi[i])

@@ -202,6 +202,20 @@ class TestSearchAndScan:
             pytest.param(
                 ("search", "labeling", "g.graph", "Z3", "--int"), EXIT_INVALID, "--int", id="int-labeling"
             ),
+            # refused before the blocks are built, the factor is factored or the rows allocated
+            pytest.param(("zsp", "Z1594323", "3"), EXIT_INVALID, "exceeds the bound", id="zsp-above-bound"),
+            pytest.param(
+                ("bijection", "Z2xZ2xZ2305843009213693951"),
+                EXIT_INVALID,
+                "exceeds the bound",
+                id="bijection-above-bound",
+            ),
+            pytest.param(
+                ("kotzig", "200000000", "2", "--int"),
+                EXIT_INVALID,
+                "exceeds the bound",
+                id="int-kotzig-above-bound",
+            ),
         ],
     )
     def test_argument_table(self, capsys, argv, code, message):

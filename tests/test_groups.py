@@ -14,10 +14,8 @@ from zsmagic import (
     in_class_g,
     involution_count,
     involutions,
-    is_isomorphic,
     parse_element,
     parse_group_spec,
-    prime_power_refinement,
     sum_all,
     two_part_split,
     two_torsion_rank,
@@ -227,11 +225,10 @@ class TestCanonicalForm:
         assert canonical_factors(canon) == canonical_factors(spec)
 
     def test_z6_is_z2xz3(self):
-        assert is_isomorphic(GroupSpec((6,)), GroupSpec((2, 3)))
-        assert canonical_factors(GroupSpec((6,))) == (2, 3)
+        assert canonical_factors(GroupSpec((6,))) == canonical_factors(GroupSpec((2, 3))) == (2, 3)
 
     def test_non_isomorphic(self):
-        assert not is_isomorphic(GroupSpec((4,)), GroupSpec((2, 2)))
+        assert canonical_factors(GroupSpec((4,))) != canonical_factors(GroupSpec((2, 2)))
 
     @given(group_specs(max_order=64))
     @settings(max_examples=50)
@@ -244,32 +241,34 @@ class TestCanonicalForm:
 
 
 class TestSplits:
-    @given(group_specs(max_order=64, max_factor=12))
-    @settings(max_examples=40)
-    def test_refinement_roundtrip(self, spec):
-        ref = prime_power_refinement(spec)
-        assert ref.refined.order == spec.order
-        for i in (0, spec.order - 1, spec.order // 3):
-            e = spec.element_at(i)
-            assert ref.from_refined(ref.to_refined(e)) == e
-
     def test_two_part_split_z18(self):
-        split = two_part_split(GroupSpec((18,)))
-        assert split.two_spec.factors == (2,)
-        assert split.odd_spec.order == 9
-        e = (7,)
-        two, odd = split.split(e)
-        assert split.merge(two, odd) == e
+        two_spec, odd_spec, merged = two_part_split(GroupSpec((18,)))
+        assert two_spec.factors == (2,)
+        assert odd_spec.factors == (9,)
+        # 7 is 1 mod 2 and 7 mod 9
+        assert merged[1 * 9 + 7] == 7
 
-    def test_split_is_homomorphic(self):
-        spec = GroupSpec((3, 6))
-        split = two_part_split(spec)
-        a, b = (1, 5), (2, 3)
-        ta, oa = split.split(a)
-        tb, ob = split.split(b)
-        assert split.merge(
-            split.two_spec.add(ta, tb), split.odd_spec.add(oa, ob)
-        ) == spec.add(a, b)
+    @given(group_specs(max_order=64, max_factors=4, max_factor=12))
+    @settings(max_examples=40)
+    def test_merged_is_an_isomorphism(self, spec):
+        two_spec, odd_spec, merged = two_part_split(spec)
+        assert tuple(sorted(two_spec.factors + odd_spec.factors)) == canonical_factors(spec)
+        assert all(f % 2 == 0 for f in two_spec.factors) and odd_spec.order % 2 == 1
+        assert sorted(merged) == list(range(spec.order))
+        assert merged[0] == 0
+        n_odd = odd_spec.order
+
+        def element(t, o):
+            return spec.element_at(merged[t * n_odd + o])
+
+        # a map that fixes 0 and adds every generator of the product is a homomorphism
+        gens = [(i, 0) for i in two_spec.strides] + [(0, i) for i in odd_spec.strides]
+        for t in range(two_spec.order):
+            for o in range(n_odd):
+                for gt, go in gens:
+                    t2 = two_spec.index_of(two_spec.add(two_spec.element_at(t), two_spec.element_at(gt)))
+                    o2 = odd_spec.index_of(odd_spec.add(odd_spec.element_at(o), odd_spec.element_at(go)))
+                    assert element(t2, o2) == spec.add(element(t, o), element(gt, go))
 
 
 class TestIsomorphismClasses:

@@ -1,8 +1,10 @@
 """Every module of the package uses each name it imports; ``__init__`` only re-exports.
-The runtime imports the standard library only."""
+The runtime imports the standard library only.  The README names only what exists."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,23 @@ def test_cli_imports_no_third_party_package():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _library_layout_rows():
+    """(module, contents) of each row of the README's "Library layout" table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(zsmagic[\w.]*)` \| (.*) \|$", section, re.MULTILINE)
+
+
+def test_readme_library_layout_names_resolve():
+    rows = _library_layout_rows()
+    assert len(rows) >= 6
+    missing = []
+    for module_name, contents in rows:
+        if module_name == "zsmagic.cli":  # its row names the `zsmagic` command, not an attribute
+            continue
+        module = importlib.import_module(module_name)
+        names = re.findall(r"`(\w+)`", contents)
+        missing += [f"{module_name}.{name}" for name in names if not hasattr(module, name)]
+    assert missing == []

@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 from itertools import permutations
 
 import pytest
-from conftest import group_specs
+from conftest import group_specs, images
 from hypothesis import given, settings
 
 from zsmagic import (
@@ -12,6 +13,7 @@ from zsmagic import (
     NonexistenceError,
     ParameterError,
     base_tables,
+    build_int_kotzig,
     bijection_to_text,
     in_class_g,
     involution_count,
@@ -26,7 +28,7 @@ from zsmagic import (
     zsp_even,
     zsp_odd,
 )
-from zsmagic.groups import abelian_groups_up_to
+from zsmagic.groups import abelian_groups_up_to, two_part_split
 from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8
 
 
@@ -39,21 +41,15 @@ class TestSeedTables:
 
     def test_sample_columns_2_2_2(self):
         tb = base_tables()[(2, 2, 2)]
-        assert tb.phi_of((0, 0, 0)) == (0, 0, 1)
-        assert tb.psi_of((0, 0, 0)) == (0, 0, 1)
-        assert tb.phi_of((0, 0, 1)) == (1, 1, 1)
-        assert tb.psi_of((0, 0, 1)) == (1, 1, 0)
-        assert tb.phi_of((1, 1, 1)) == (1, 0, 1)
-        assert tb.psi_of((1, 1, 1)) == (0, 1, 0)
+        assert images(tb, (0, 0, 0)) == ((0, 0, 1), (0, 0, 1))
+        assert images(tb, (0, 0, 1)) == ((1, 1, 1), (1, 1, 0))
+        assert images(tb, (1, 1, 1)) == ((1, 0, 1), (0, 1, 0))
 
     def test_sample_columns_2_2_4(self):
         tb = base_tables()[(2, 2, 4)]
-        assert tb.phi_of((0, 1, 0)) == (1, 1, 2)
-        assert tb.psi_of((0, 1, 0)) == (1, 0, 2)
-        assert tb.phi_of((0, 0, 3)) == (0, 0, 0)
-        assert tb.psi_of((0, 0, 3)) == (0, 0, 1)
-        assert tb.phi_of((1, 0, 2)) == (1, 1, 3)
-        assert tb.psi_of((1, 0, 2)) == (0, 1, 3)
+        assert images(tb, (0, 1, 0)) == ((1, 1, 2), (1, 0, 2))
+        assert images(tb, (0, 0, 3)) == ((0, 0, 0), (0, 0, 1))
+        assert images(tb, (1, 0, 2)) == ((1, 1, 3), (0, 1, 3))
 
     def test_residue_triples(self):
         assert RESIDUE_TRIPLES_2_2_8 == (
@@ -66,14 +62,10 @@ class TestSeedTables:
         )
         tb = base_tables()[(2, 2, 8)]
         for a, b, c in RESIDUE_TRIPLES_2_2_8:
-            assert tb.phi_of((0, 0, a)) == (0, 0, b)
-            assert tb.psi_of((0, 0, a)) == (0, 0, c)
-            assert tb.phi_of((0, 1, a)) == (1, 0, b)
-            assert tb.psi_of((0, 1, a)) == (1, 1, c)
-            assert tb.phi_of((1, 0, a)) == (1, 1, b)
-            assert tb.psi_of((1, 0, a)) == (0, 1, c)
-            assert tb.phi_of((1, 1, a)) == (0, 1, b)
-            assert tb.psi_of((1, 1, a)) == (1, 0, c)
+            assert images(tb, (0, 0, a)) == ((0, 0, b), (0, 0, c))
+            assert images(tb, (0, 1, a)) == ((1, 0, b), (1, 1, c))
+            assert images(tb, (1, 0, a)) == ((1, 1, b), (0, 1, c))
+            assert images(tb, (1, 1, a)) == ((0, 1, b), (1, 0, c))
 
 
 class TestInvolutionQuadruples:
@@ -113,13 +105,11 @@ class TestInvolutionQuadruples:
 class TestTripleBijection:
     def test_seed_example(self):
         tb = triple_bijection(GroupSpec((2, 2, 2)))
-        assert tb.phi_of((0, 0, 1)) == (1, 1, 1)
-        assert tb.psi_of((0, 0, 1)) == (1, 1, 0)
+        assert images(tb, (0, 0, 1)) == ((1, 1, 1), (1, 1, 0))
 
     def test_odd_closed_form(self):
         tb = triple_bijection(GroupSpec((5,)))
-        assert tb.phi_of((1,)) == (1,)
-        assert tb.psi_of((1,)) == (3,)
+        assert images(tb, (1,)) == ((1,), (3,))
 
     def test_klein_four_by_search(self):
         tb = triple_bijection(GroupSpec((2, 2)))
@@ -318,3 +308,26 @@ class TestZspDispatcher:
             for m in range(3, spec.order + 1):
                 if spec.order % m == 0:
                     assert verify_zsp(spec, zsp(spec, m), m).ok, (spec, m)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: zsp(GroupSpec((1594323,)), 3),
+        lambda: zsp_odd(GroupSpec((2, 2, 3 * 2305843009213693951)), 3),
+        lambda: triple_bijection(GroupSpec((2, 2, 2305843009213693951))),
+        lambda: two_part_split(GroupSpec((2, 2, 2305843009213693951))),
+        lambda: build_int_kotzig(2, 200000000),
+    ],
+    ids=["zsp-odd-order", "zsp-odd", "bijection", "split", "int-kotzig"],
+)
+def test_orders_above_the_bound_are_refused_before_any_work(build):
+    # refused before factoring the huge prime factor or building anything of that size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="exceeds the bound"):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
