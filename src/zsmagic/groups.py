@@ -345,6 +345,15 @@ def in_class_g(spec: GroupSpec) -> bool:
 # -- the 2-part / odd-part split ----------------------------------------------
 
 
+def outer_sum(tables) -> list[int]:
+    """Every sum of one entry from each table, in mixed-radix order (the last
+    table varies fastest)."""
+    out = [0]
+    for table in tables:
+        out = [c + x for c in out for x in table]
+    return out
+
+
 def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:
     """The group as (2-part) x (odd part), by the Chinese remainder theorem.
 
@@ -362,13 +371,14 @@ def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:
     odd_spec = GroupSpec(tuple(q for qs in parts for q in qs if q % 2))
     two_weights = iter([s * odd_spec.order for s in two_spec.strides])
     odd_weights = iter(odd_spec.strides)
-    codes = [0]
+    tables = []
     for f, qs in zip(spec.factors, parts):
         table = [0] * f
         for q in qs:
             w = next(odd_weights if q % 2 else two_weights)
             table = list(map(_add, table, [x * w for x in range(q)] * (f // q)))
-        codes = [c + x for c in codes for x in table]
+        tables.append(table)
+    codes = outer_sum(tables)
     merged = [0] * len(codes)
     for g, c in enumerate(codes):
         merged[c] = g

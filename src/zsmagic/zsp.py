@@ -39,6 +39,7 @@ from .groups import (
     format_element,
     header_fields,
     in_class_g,
+    outer_sum,
     parse_group_spec,
     read_elements,
     read_header,
@@ -306,23 +307,15 @@ def _tb_from_phi(spec: GroupSpec, phi: list[int]) -> TripleBijection:
     return TripleBijection(spec, tuple(phi), tuple(_sum_codes(spec, range(spec.order), phi, -1)))
 
 
-def _box_codes(factors, weights) -> list[int]:
-    """The sum of x_i * weights[i] for every tuple x with 0 <= x_i < factors[i],
-    in mixed-radix order."""
-    out = [0]
-    for f, w in zip(factors, weights):
-        out = [c + x for c in out for x in range(0, f * w, w)]
-    return out
-
-
 def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
     """phi for a coordinate permutation of the presentation with its factors
     ascending, from ``phi_of_sorted`` of that sorted factor tuple."""
     sigma = sorted(range(spec.arity), key=lambda i: (spec.factors[i], i))
     factors = tuple(spec.factors[i] for i in sigma)
-    weight = dict(zip(sigma, GroupSpec(factors).strides))
-    to_sorted = _box_codes(spec.factors, [weight[i] for i in range(spec.arity)])
-    back = _box_codes(factors, [spec.strides[i] for i in sigma])
+    sorted_stride = dict(zip(sigma, GroupSpec(factors).strides))
+    # to_sorted[g] is the index of element g in the sorted presentation; back inverts it
+    to_sorted = outer_sum([x * sorted_stride[i] for x in range(f)] for i, f in enumerate(spec.factors))
+    back = outer_sum([x * spec.strides[i] for x in range(f)] for i, f in zip(sigma, factors))
     sorted_phi = phi_of_sorted(factors)
     return [back[sorted_phi[c]] for c in to_sorted]
 
@@ -331,7 +324,7 @@ def _subgroup_phi(spec: GroupSpec, mults) -> tuple[list[int], list[int]]:
     """The indices in ``spec`` of the subgroup H generated by the mults[i] * e_i,
     and of their images under H's ladder phi."""
     sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-    embed = _box_codes(sub.factors, [m * s for m, s in zip(mults, spec.strides)])
+    embed = outer_sum([x * m * s for x in range(f)] for f, m, s in zip(sub.factors, mults, spec.strides))
     return embed, [embed[v] for v in _ladder_phi(sub)]
 
 
