@@ -5,10 +5,10 @@ Three builders live here, each paired with an independent verifier:
 * ``involution_quadruples`` partitions the involutions-plus-identity
   subgroup into zero-sum quadruples by a doubling recursion.
 * ``triple_bijection`` produces permutations ``phi``, ``psi`` of the group
-  with ``g + phi(g) + psi(g) = 0`` for every ``g``, via a ladder of
-  closed forms, fixed seed tables for the three smallest three-factor
-  2-groups, two quotient liftings and a doubling construction for two
-  cyclic factors.
+  with ``g + phi(g) + psi(g) = 0`` for every ``g``: the identity on the
+  odd part times a ladder on the 2-part of closed forms, fixed seed
+  tables for the three smallest three-factor 2-groups, two quotient
+  liftings and a doubling construction for two cyclic factors.
 * ``zsp`` partitions the whole group into equal-size zero-sum blocks;
   it exists exactly when the order is odd, or the block size is at
   least 3 and the group has more than one involution.

@@ -50,15 +50,11 @@ def test_cli_imports_no_third_party_package():
     assert result.stdout.strip() == "[]"
 
 
-def _library_layout_rows():
-    """(module, contents) of each row of the README's "Library layout" table."""
+def test_readme_library_layout_names_resolve():
+    """Every backticked name in the README's "Library layout" table exists in its row's module."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^\| `(zsmagic[\w.]*)` \| (.*) \|$", section, re.MULTILINE)
-
-
-def test_readme_library_layout_names_resolve():
-    rows = _library_layout_rows()
+    rows = re.findall(r"^\| `(zsmagic[\w.]*)` \| (.*) \|$", section, re.MULTILINE)
     assert len(rows) >= 6
     missing = []
     for module_name, contents in rows:
