@@ -1,6 +1,6 @@
 import pytest
 from conftest import elements_of, group_specs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zsmagic import (
@@ -250,18 +250,30 @@ class TestSplits:
 
     @given(group_specs(max_order=64, max_factors=4, max_factor=12))
     @settings(max_examples=40)
-    def test_merged_is_an_isomorphism(self, spec):
+    def test_refinement_roundtrip(self, spec):
         two_spec, odd_spec, merged = two_part_split(spec)
         assert tuple(sorted(two_spec.factors + odd_spec.factors)) == canonical_factors(spec)
         assert all(f % 2 == 0 for f in two_spec.factors) and odd_spec.order % 2 == 1
         assert sorted(merged) == list(range(spec.order))
         assert merged[0] == 0
+        # the merged table and its inverse undo each other on every index
+        inverse = [0] * spec.order
+        for pair, idx in enumerate(merged):
+            inverse[idx] = pair
+        assert all(merged[inverse[i]] == i for i in range(spec.order))
+
+    @given(group_specs(max_order=64, max_factors=4, max_factor=12))
+    @settings(max_examples=40)
+    @example(GroupSpec((3, 6)))
+    def test_split_is_homomorphic(self, spec):
+        two_spec, odd_spec, merged = two_part_split(spec)
         n_odd = odd_spec.order
 
         def element(t, o):
             return spec.element_at(merged[t * n_odd + o])
 
         # a map that fixes 0 and adds every generator of the product is a homomorphism
+        assert merged[0] == 0
         gens = [(i, 0) for i in two_spec.strides] + [(0, i) for i in odd_spec.strides]
         for t in range(two_spec.order):
             for o in range(n_odd):
