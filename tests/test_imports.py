@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports; ``__init__`` only re-exports.
-The runtime imports the standard library only.  The README names only what exists."""
+The runtime imports the standard library only.  The README names only what exists.
+Every source file parses as Python 3.10, the oldest version CI runs."""
 
 import ast
 import importlib
@@ -13,7 +14,9 @@ import pytest
 
 import zsmagic
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in Path(zsmagic.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(p for folder in ("src", "bench", "demos") for p in (ROOT / folder).rglob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -50,9 +53,15 @@ def test_cli_imports_no_third_party_package():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    """Newer syntax, such as ``except*``, would first fail on CI's Python 3.10."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_readme_library_layout_names_resolve():
     """Every backticked name in the README's "Library layout" table exists in its row's module."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(zsmagic[\w.]*)` \| (.*) \|$", section, re.MULTILINE)
     assert len(rows) >= 6

@@ -129,6 +129,44 @@ class TestSearchKotzig:
             search_kotzig("Z4", 2)
 
 
+class TestGridBudget:
+    """A grid search cut at budget b reports b + 1 nodes, and one given at
+    least its full count reports that count and the least witness."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            pytest.param(lambda b: search_triple_bijection(parse_group_spec("Z2xZ4"), b), id="bijection-Z2xZ4"),
+            pytest.param(lambda b: search_kotzig(parse_group_spec("Z2xZ2xZ2"), 3, b), id="kotzig-Z2xZ2xZ2-j3"),
+            pytest.param(lambda b: search_kotzig(parse_group_spec("Z2xZ4"), 4, b), id="kotzig-Z2xZ4-j4"),
+            pytest.param(lambda b: search_kotzig(parse_group_spec("Z6"), 2, b), id="kotzig-Z6-j2"),
+            pytest.param(lambda b: search_kotzig(parse_group_spec("Z2xZ2"), 5, b), id="kotzig-Z2xZ2-j5"),
+            pytest.param(lambda b: search_kotzig(5, 3, b), id="int-k5-j3"),
+            pytest.param(lambda b: search_kotzig(4, 4, b), id="int-k4-j4"),
+        ],
+    )
+    def test_every_budget(self, search):
+        whole = search(DEFAULT_BUDGET)
+        assert whole.found and whole.exhausted
+        full = whole.nodes
+        for b in range(1, full + 2):
+            report = search(b)
+            assert (report.found, report.exhausted, report.nodes) == (b >= full, b >= full, min(b + 1, full)), b
+            if report.found:
+                assert report.witness == whole.witness
+
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec in abelian_groups_up_to(12) if in_class_g(spec)] + [parse_group_spec("Z2xZ8")],
+        ids=str,
+    )
+    def test_bijection_is_the_three_row_array(self, spec):
+        array, bijection = search_kotzig(spec, 3), search_triple_bijection(spec)
+        assert array.nodes == bijection.nodes
+        assert array.found and bijection.found
+        assert array.witness.rows[1] == tuple(map(spec.element_at, bijection.witness.phi))
+
+
 def _truncated_tetrahedron() -> Graph:
     # corner (i, j) of triangle i points to triangle j
     corners = [(i, j) for i in range(4) for j in range(4) if i != j]
