@@ -303,6 +303,7 @@ def canonical_factors(spec: GroupSpec) -> tuple[int, ...]:
     """
     parts: list[int] = []
     for f in spec.factors:
+        check_order(f, "cyclic factor")  # before trial division, which a huge prime stalls
         for p, e in _factorize(f):
             parts.append(p**e)
     return tuple(sorted(parts))

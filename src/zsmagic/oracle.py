@@ -18,11 +18,11 @@ and psi its forced last row).  A node is one choice the search commits
 to: an anchor with the size of the block it opens, a free element or a
 forced element; budgets cap nodes.  ``search_zsp`` opens its first block
 on the identity without a choice, so that anchor is not a node.  The grid
-kernel looks one row ahead: in the row before the last it skips, without
-a node, a free value whose forced last cell is impossible or already
-used.  That is the last row's own test made one level earlier, so it
-removes only branches no completion can use, and proofs and least
-witnesses are unchanged.
+kernel fills the last two rows of a column together, from a table of
+(free value, forced last cell) pairs; each cell is still one node, and a
+pair with a cell already used is skipped without a node.  That is the
+last row's own test made one level earlier, so it removes only branches
+no completion can use, and proofs and least witnesses are unchanged.
 
 Witnesses are deterministic: the least solution in the documented search
 order (element enumeration order, grids column-major, labelings by vertex
@@ -291,59 +291,77 @@ def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
 def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -> SearchReport:
     """Column-major backtracking over a j x k grid of values 0..k-1.
 
-    Row 0 is 0..k-1 and every row is a permutation.  A column's running
-    total s becomes ``step[s][v]`` when value v joins it, and ``forced[s]``
-    is the last cell of a column with total s, or -1 when no value
-    completes it.  ``witness_of`` turns the filled grid into the object
-    that ``check`` verifies.
+    Row 0 is 0..k-1, so column c opens on total c, and every row is a
+    permutation.  A column's running total s becomes ``step[s][v]`` when
+    value v joins it, and ``forced[s]`` is the last cell of a column with
+    total s, or -1 when no value completes it.  ``witness_of`` turns the
+    filled grid into the object that ``check`` verifies.
 
-    Look-ahead: in the row just before the last, a free value whose forced
-    last cell is -1 or already used in the last row is skipped without
-    spending a node.  That is the last row's own test made one level
-    earlier; no completion of the column can use such a value, so an
-    exhausted search is still a proof and the least witness is unchanged.
+    The row before the last and the last row are filled together, from
+    ``pairs[s]``: each value v, ascending, whose forced last cell
+    w = forced[step[s][v]] exists (an integer total past the table has
+    none), with its w.  A pair is two nodes, one per cell, spent as a
+    cell-by-cell fill spends them.  A pair whose v or w is used is skipped
+    without a node: the last row's test refuses w, so no completion uses
+    v, and proofs and least witnesses are unchanged.
     """
     tracker = _Budget(budget)
     grid = [list(range(k))] + [[-1] * k for _ in range(j - 1)]
     used = [[False] * k for _ in range(j)]
-    last = j - 1
+    before, last = j - 2, j - 1
+    pairs = [[(v, forced[t]) for v, t in enumerate(row) if t < len(forced) and forced[t] >= 0] for row in step]
+    cells, seen, final, taken = grid[before], used[before], grid[last], used[last]
+    nodes = 0
 
     def fill(c: int, r: int, colsum: int) -> bool:
-        if r == last:
-            value = forced[colsum]
-            if value < 0 or used[r][value]:
-                return False
-            tracker.spend()
-            grid[r][c] = value
-            used[r][value] = True
-            if c + 1 == k:
-                return True
-            if fill(c + 1, 1, grid[0][c + 1]):
-                return True
-            used[r][value] = False
+        nonlocal nodes
+        if r == before:
+            for v, w in pairs[colsum]:
+                if seen[v] or taken[w]:
+                    continue
+                nodes += 2
+                if nodes > budget:
+                    raise _BudgetExceeded
+                cells[c], final[c] = v, w
+                seen[v] = taken[w] = True
+                if c + 1 == k or fill(c + 1, 1, c + 1):
+                    return True
+                seen[v] = taken[w] = False
             return False
-        ahead = used[last] if r + 1 == last else None
+        if r == last:  # j = 2: the column's one cell is forced
+            w = forced[colsum]
+            if w < 0 or taken[w]:
+                return False
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
+            final[c] = w
+            taken[w] = True
+            if c + 1 == k or fill(c + 1, 1, c + 1):
+                return True
+            taken[w] = False
+            return False
         for v in range(k):
             if used[r][v]:
                 continue
-            total = step[colsum][v]
-            if ahead is not None and (forced[total] < 0 or ahead[forced[total]]):
-                continue
-            tracker.spend()
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
             grid[r][c] = v
             used[r][v] = True
-            if fill(c, r + 1, total):
+            if fill(c, r + 1, step[colsum][v]):
                 return True
             used[r][v] = False
         return False
 
-    return _settle(
-        tracker,
-        # a single row is a permutation, so its columns agree only when k = 1
-        lambda: k == 1 if j == 1 else fill(0, 1, grid[0][0]),
-        lambda: witness_of(grid),
-        check,
-    )
+    def search() -> bool:
+        try:
+            # a single row is a permutation, so its columns agree only when k = 1
+            return k == 1 if j == 1 else fill(0, 1, 0)
+        finally:
+            tracker.spent = min(nodes, budget + 1)  # a pair can pass the budget by two
+
+    return _settle(tracker, search, lambda: witness_of(grid), check)
 
 
 def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:

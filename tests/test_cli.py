@@ -36,6 +36,17 @@ class TestInfo:
         assert "involutions: 7" in out
         assert "in class G: yes" in out
 
+    def test_factor_above_bound_refused_before_factoring(self, capsys):
+        code, out, err = run(capsys, "info", "Z2xZ2305843009213693951")
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error (invalid-input)") and "exceeds the bound" in err
+
+    def test_order_above_bound_with_factors_within(self, capsys):
+        code, out, _ = run(capsys, "info", "Z1048576xZ1048576")
+        assert code == EXIT_OK
+        assert "order: 1099511627776" in out
+        assert "canonical: Z1048576xZ1048576" in out
+
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "info", "Z2xQ8")
         assert code == EXIT_INVALID
