@@ -310,36 +310,36 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
     used = [[False] * k for _ in range(j)]
     before, last = j - 2, j - 1
     pairs = [[(v, forced[t]) for v, t in enumerate(row) if t < len(forced) and forced[t] >= 0] for row in step]
-    cells, seen, final, taken = grid[before], used[before], grid[last], used[last]
+    before_row, before_used, last_row, last_used = grid[before], used[before], grid[last], used[last]
     nodes = 0
 
     def fill(c: int, r: int, colsum: int) -> bool:
         nonlocal nodes
         if r == before:
             for v, w in pairs[colsum]:
-                if seen[v] or taken[w]:
+                if before_used[v] or last_used[w]:
                     continue
                 nodes += 2
                 if nodes > budget:
                     raise _BudgetExceeded
-                cells[c], final[c] = v, w
-                seen[v] = taken[w] = True
+                before_row[c], last_row[c] = v, w
+                before_used[v] = last_used[w] = True
                 if c + 1 == k or fill(c + 1, 1, c + 1):
                     return True
-                seen[v] = taken[w] = False
+                before_used[v] = last_used[w] = False
             return False
         if r == last:  # j = 2: the column's one cell is forced
             w = forced[colsum]
-            if w < 0 or taken[w]:
+            if w < 0 or last_used[w]:
                 return False
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            final[c] = w
-            taken[w] = True
+            last_row[c] = w
+            last_used[w] = True
             if c + 1 == k or fill(c + 1, 1, c + 1):
                 return True
-            taken[w] = False
+            last_used[w] = False
             return False
         for v in range(k):
             if used[r][v]:
@@ -359,7 +359,7 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
             # a single row is a permutation, so its columns agree only when k = 1
             return k == 1 if j == 1 else fill(0, 1, 0)
         finally:
-            tracker.spent = min(nodes, budget + 1)  # a pair can pass the budget by two
+            tracker.spent = min(nodes, budget + 1)  # a pair can end one node past budget + 1
 
     return _settle(tracker, search, lambda: witness_of(grid), check)
 
