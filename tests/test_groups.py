@@ -351,6 +351,24 @@ class TestReadElements:
         else:
             assert list(read_elements(spec, rows)) == expected
 
+    @pytest.mark.parametrize("spec", [GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 2, 3))], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_written_and_other_spellings_in_one_row(self, spec, data):
+        """A body that covers the group, with rows mixing tokens spelled as
+        ``format_element`` writes them and other spellings, reads as the reference does."""
+        written = [format_element(e) for e in spec.elements()]
+        others = ["(7)", "-1", "(1, 5)", "(-1,+2)", "(7, -1, +2)", "(1,5,-1)"]
+        extra = data.draw(st.lists(st.sampled_from(others), max_size=3))
+        rows = [data.draw(st.permutations(written + extra)), data.draw(st.lists(st.sampled_from(written + others), max_size=4))]
+        try:
+            expected = _read_one_by_one(spec, rows)
+        except GroupSpecError:
+            with pytest.raises(GroupSpecError):
+                list(read_elements(spec, rows))
+        else:
+            assert list(read_elements(spec, rows)) == expected
+
     def test_unwritten_spellings_still_read(self):
         assert list(read_elements(GroupSpec((5,)), [["(7)", "-1"]])) == [((2,), (4,))]
         assert list(read_elements(GroupSpec(()), [["()"], []])) == [((),), ()]

@@ -323,6 +323,31 @@ def test_huge_header_refused_before_allocating(parse, text):
         parse(text)
 
 
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (partition_from_text, "partition Z1048576 m=2\n0 0\n", None),
+        (partition_from_text, "partition Z2xZ524288 m=2\n(0,0) (1,1)\n", None),
+        (array_from_text, "kotzig Z1048576 j=2 k=1048576\n0\n0\n", "row length does not match k"),
+    ],
+    ids=["partition-cyclic", "partition-product", "kotzig"],
+)
+def test_short_body_builds_no_order_sized_table(parse, text, error):
+    """A body too short to cover its group costs what its text costs, not the group order."""
+    tracemalloc.start()
+    try:
+        try:
+            parse(text)
+            raised = None
+        except GroupSpecError as exc:
+            raised = str(exc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raised == error
+    assert peak < 2**20
+
 class TestParserFuzz:
     @pytest.mark.parametrize("parse, text", FUZZ_CORPUS)
     def test_corpus_parses(self, parse, text):
