@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, product as _cartesian, repeat
+from itertools import chain, product as _cartesian
 from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
 from .errors import ArityError, GroupSpecError, ParameterError
@@ -216,7 +216,7 @@ def header_fields(tokens, ints=()) -> dict:
 
 def certificate_lines(text: str) -> list[str]:
     """The content lines of a certificate: neither blank nor ``#`` annotations."""
-    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in text.splitlines() if (s := ln.lstrip()) and s[0] != "#"]
 
 
 def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str]]:
@@ -230,40 +230,55 @@ def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str
     return header, lines[1:]
 
 
-def _coordinates(tokens: list[str], arity: int) -> list[int]:
-    """Every coordinate of the tokens in order, when each token by itself is an
-    element of this arity as :func:`format_element` writes it (joined on a newline,
-    which no token holds: ``(0,0),(0,1)`` and ``(1`` are not); else ``ValueError``."""
-    if arity == 1:
-        return list(map(int, tokens))
-    text = "\n".join(tokens)
-    element = r"\(" + ",".join([r"[^(),\n]*"] * arity) + r"\)"
-    if not re.fullmatch(f"{element}(?:\n{element})*", text):
-        raise ValueError("not a list of elements")
-    return list(map(int, text.replace("(", "").replace(")", "").replace("\n", ",").split(",")))
+def element_names(spec: GroupSpec) -> dict[str, int]:
+    """``{format_element(e): index}`` for every element, built column by column."""
+    names = [""]
+    for t, f in enumerate(spec.factors):
+        column = [("," if t else "") + str(x) for x in range(f)]
+        names = [n + c for n in names for c in column]
+    if spec.arity != 1:
+        names = ["(" + n + ")" for n in names]
+    return dict(zip(names, range(len(names))))
+
+
+def _covering(spec: GroupSpec, rows):
+    """``(covers, rows)``: whether the rows hold a token per element or more (of a
+    group within the order bound), and the same rows, read only as far as that takes."""
+    rows, head, count = iter(rows), [], 0
+    if spec.order <= DEFAULT_ORDER_BOUND:
+        for row in rows:
+            head.append(row)
+            count += len(row)
+            if count >= spec.order:
+                break
+    return count >= spec.order, chain(head, rows)
+
+
+def read_indices(spec: GroupSpec, rows):
+    """Yield each row of element tokens as a list of element indices.  When the rows
+    can cover the group, tokens spelled as :func:`format_element` writes them are
+    looked up in :func:`element_names`; a row with any other token is read one token
+    at a time, and a token that is not an element of the group raises ``GroupSpecError``."""
+    covers, rows = _covering(spec, rows)
+    lookup = (element_names(spec) if covers else {}).__getitem__
+    for row in rows:
+        try:
+            indices = list(map(lookup, row))
+        except KeyError:  # "(5)" and "-1" are elements too; else name the bad token
+            elems = list(map(parse_element, row))
+            bad = next((e for e in elems if len(e) != spec.arity), None)
+            if bad is not None:
+                raise GroupSpecError(f"element {bad} has {len(bad)} coordinates, group {spec} has {spec.arity}")
+            indices = list(map(spec.index_of, elems))
+        yield indices
 
 
 def read_elements(spec: GroupSpec, rows):
-    """Yield each row of element tokens as a tuple of reduced elements, reading
-    a few thousand tokens at a time with one pass per coordinate column; a
-    token that is not an element of the group's arity raises ``GroupSpecError``."""
-    k = spec.arity
-    rows = iter(rows)
-    for first in rows:
-        chunk = [first, *islice(rows, 4096 // (len(first) + 1))]
-        tokens = [t for row in chunk for t in row]
-        try:
-            flat = _coordinates(tokens, k)
-        except ValueError:  # name the bad token; "(5)" and "()" are elements too
-            coords = list(map(parse_element, tokens))
-            bad = next((c for c in coords if len(c) != k), None)
-            if bad is not None:
-                raise GroupSpecError(f"element {bad} has {len(bad)} coordinates, group {spec} has {k}")
-            flat = [x for c in coords for x in c]
-        columns = [list(map(_mod, flat[t::k], repeat(f))) for t, f in enumerate(spec.factors)]
-        elems = iter(list(zip(*columns)) if k else [()] * len(tokens))
-        for row in chunk:
-            yield tuple(islice(elems, len(row)))
+    """Yield each row of element tokens as a tuple of reduced elements (see :func:`read_indices`)."""
+    covers, rows = _covering(spec, rows)
+    element = spec.elements().__getitem__ if covers else spec.element_at
+    for row in read_indices(spec, rows):
+        yield tuple(map(element, row))
 
 
 def write_rows(spec: GroupSpec, header: str, rows) -> str:
@@ -327,15 +342,10 @@ def involutions(spec: GroupSpec) -> tuple[Element, ...]:
 
 
 def sum_all(spec: GroupSpec) -> Element:
-    """Sum of all group elements, by closed form.
-
-    Equals the unique involution when exactly one exists, and the identity
-    otherwise.
-    """
-    invs = involutions(spec)
-    if len(invs) == 1:
-        return invs[0]
-    return spec.identity()
+    """Sum of all elements: the unique involution (f/2 at the even factor) at 2-torsion rank 1, else 0."""
+    if two_torsion_rank(spec) != 1:
+        return spec.identity()
+    return tuple(f // 2 if f % 2 == 0 else 0 for f in spec.factors)
 
 
 def in_class_g(spec: GroupSpec) -> bool:

@@ -43,6 +43,7 @@ from .groups import (
     parse_group_spec,
     read_elements,
     read_header,
+    read_indices,
     two_part_split,
     two_torsion_rank,
     write_rows,
@@ -653,13 +654,12 @@ def bijection_from_text(text: str) -> TripleBijection:
     n = spec.order
     if len(body) != n:
         raise GroupSpecError(f"expected {n} rows, found {len(body)}")
-    index = {e: i for i, e in enumerate(spec.elements())}
     phi = [-1] * n
     psi = [-1] * n
-    for line, row in zip(body, read_elements(spec, map(str.split, body))):
+    for line, row in zip(body, read_indices(spec, map(str.split, body))):
         if len(row) != 3:
             raise GroupSpecError(f"bad bijection row {line!r}")
-        g, p, q = map(index.__getitem__, row)
+        g, p, q = row
         phi[g] = p
         psi[g] = q
     if -1 in phi:

@@ -47,6 +47,12 @@ class TestInfo:
         assert "order: 1099511627776" in out
         assert "canonical: Z1048576xZ1048576" in out
 
+    def test_sum_all_from_the_rank_alone(self, capsys):
+        # Z2^30 has 2^30 - 1 involutions; the sum is decided without listing them
+        code, out, _ = run(capsys, "info", "x".join(["Z2"] * 30))
+        assert code == EXIT_OK
+        assert f"sum of all elements: ({','.join(['0'] * 30)})" in out
+
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "info", "Z2xQ8")
         assert code == EXIT_INVALID

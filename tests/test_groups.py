@@ -20,7 +20,7 @@ from zsmagic import (
     two_part_split,
     two_torsion_rank,
 )
-from zsmagic.groups import abelian_groups_up_to, read_elements, write_rows
+from zsmagic.groups import abelian_groups_up_to, element_names, read_elements, read_indices, write_rows
 
 
 class TestSpecGrammar:
@@ -203,6 +203,17 @@ class TestSumAll:
     def test_z2z2(self):
         assert sum_all(GroupSpec((2, 2))) == (0, 0)
 
+    def test_every_presentation_up_to_64(self):
+        def presentations(bound):
+            yield ()
+            for f in range(2, bound + 1):
+                for rest in presentations(bound // f):
+                    yield (f, *rest)
+
+        for factors in presentations(64):
+            spec = GroupSpec(factors)
+            assert sum_all(spec) == spec.sum(spec.elements()), spec
+
     def test_closed_form_matches_literal_fold_up_to_256(self):
         for spec in abelian_groups_up_to(256):
             assert sum_all(spec) == spec.sum(spec.elements()), spec
@@ -348,8 +359,11 @@ class TestReadElements:
         except GroupSpecError:
             with pytest.raises(GroupSpecError):
                 list(read_elements(spec, rows))
+            with pytest.raises(GroupSpecError):
+                list(read_indices(spec, rows))
         else:
             assert list(read_elements(spec, rows)) == expected
+            assert list(read_indices(spec, rows)) == [list(map(spec.index_of, row)) for row in expected]
 
     @pytest.mark.parametrize("spec", [GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 2, 3))], ids=str)
     @given(data=st.data())
@@ -368,6 +382,12 @@ class TestReadElements:
                 list(read_elements(spec, rows))
         else:
             assert list(read_elements(spec, rows)) == expected
+
+    @given(group_specs(max_order=256, max_factors=4))
+    @example(GroupSpec(()))
+    @settings(max_examples=60)
+    def test_element_names(self, spec):
+        assert element_names(spec) == {format_element(e): i for i, e in enumerate(spec.elements())}
 
     def test_unwritten_spellings_still_read(self):
         assert list(read_elements(GroupSpec((5,)), [["(7)", "-1"]])) == [((2,), (4,))]
