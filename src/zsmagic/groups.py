@@ -216,7 +216,7 @@ def header_fields(tokens, ints=()) -> dict:
 
 def certificate_lines(text: str) -> list[str]:
     """The content lines of a certificate: neither blank nor ``#`` annotations."""
-    return [ln for ln in text.splitlines() if (s := ln.lstrip()) and s[0] != "#"]
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
 
 
 def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str]]:
@@ -244,14 +244,14 @@ def element_names(spec: GroupSpec) -> dict[str, int]:
 def _covering(spec: GroupSpec, rows):
     """``(covers, rows)``: whether the rows hold a token per element or more (of a
     group within the order bound), and the same rows, read only as far as that takes."""
-    rows, head, count = iter(rows), [], 0
-    if spec.order <= DEFAULT_ORDER_BOUND:
+    rows, head, count, order = iter(rows), [], 0, spec.order
+    if order <= DEFAULT_ORDER_BOUND:
         for row in rows:
             head.append(row)
             count += len(row)
-            if count >= spec.order:
+            if count >= order:
                 break
-    return count >= spec.order, chain(head, rows)
+    return count >= order, chain(head, rows)
 
 
 def read_indices(spec: GroupSpec, rows):
