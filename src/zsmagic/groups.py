@@ -232,35 +232,35 @@ def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str
 
 def element_names(spec: GroupSpec) -> dict[str, int]:
     """``{format_element(e): index}`` for every element, built column by column."""
-    names = [""]
+    k = spec.arity
+    names = ["()" if k == 0 else ""]
     for t, f in enumerate(spec.factors):
-        column = [("," if t else "") + str(x) for x in range(f)]
+        lead, tail = ("", "") if k == 1 else ("," if t else "(", ")" if t == k - 1 else "")
+        column = [lead + str(x) + tail for x in range(f)]
         names = [n + c for n in names for c in column]
-    if spec.arity != 1:
-        names = ["(" + n + ")" for n in names]
     return dict(zip(names, range(len(names))))
 
 
-def _covering(spec: GroupSpec, rows):
-    """``(covers, rows)``: whether the rows hold a token per element or more (of a
-    group within the order bound), and the same rows, read only as far as that takes."""
+def _worth_a_table(spec: GroupSpec, rows):
+    """Whether the rows' tokens hold a character per element (of a group within the order
+    bound), so that a table of the group costs no more than the text; and the rows again."""
     rows, head, count, order = iter(rows), [], 0, spec.order
     if order <= DEFAULT_ORDER_BOUND:
         for row in rows:
             head.append(row)
-            count += len(row)
+            count += sum(map(len, row))
             if count >= order:
                 break
     return count >= order, chain(head, rows)
 
 
 def read_indices(spec: GroupSpec, rows):
-    """Yield each row of element tokens as a list of element indices.  When the rows
-    can cover the group, tokens spelled as :func:`format_element` writes them are
-    looked up in :func:`element_names`; a row with any other token is read one token
-    at a time, and a token that is not an element of the group raises ``GroupSpecError``."""
-    covers, rows = _covering(spec, rows)
-    lookup = (element_names(spec) if covers else {}).__getitem__
+    """Yield each row of element tokens as a list of element indices.  When the rows are
+    worth a table of the group, tokens spelled as :func:`format_element` writes them are
+    looked up in :func:`element_names`; a row with any other token is read one token at a
+    time, and a token that is not an element of the group raises ``GroupSpecError``."""
+    worth, rows = _worth_a_table(spec, rows)
+    lookup = (element_names(spec) if worth else {}).__getitem__
     for row in rows:
         try:
             indices = list(map(lookup, row))
@@ -275,8 +275,8 @@ def read_indices(spec: GroupSpec, rows):
 
 def read_elements(spec: GroupSpec, rows):
     """Yield each row of element tokens as a tuple of reduced elements (see :func:`read_indices`)."""
-    covers, rows = _covering(spec, rows)
-    element = spec.elements().__getitem__ if covers else spec.element_at
+    worth, rows = _worth_a_table(spec, rows)
+    element = spec.elements().__getitem__ if worth else spec.element_at
     for row in read_indices(spec, rows):
         yield tuple(map(element, row))
 
