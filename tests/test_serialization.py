@@ -323,7 +323,6 @@ def test_huge_header_refused_before_allocating(parse, text):
         parse(text)
 
 
-
 @pytest.mark.parametrize(
     "parse, text, error",
     [
@@ -347,6 +346,7 @@ def test_short_body_builds_no_order_sized_table(parse, text, error):
         tracemalloc.stop()
     assert raised == error
     assert peak < 2**20
+
 
 class TestParserFuzz:
     @pytest.mark.parametrize("parse, text", FUZZ_CORPUS)
