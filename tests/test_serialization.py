@@ -13,14 +13,18 @@ from zsmagic import (
     array_to_text,
     bijection_from_text,
     bijection_to_text,
+    blowup_even_label,
     build_group_kotzig,
     build_int_kotzig,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
     eulerian_bipartite_label,
     graph_from_text,
     graph_to_text,
+    in_class_g,
+    involution_quadruples,
     labeling_from_text,
     labeling_to_text,
     lex_product,
@@ -36,7 +40,7 @@ from zsmagic import (
     zsp,
 )
 from zsmagic.errors import ZsmagicError
-from zsmagic.groups import DEFAULT_ORDER_BOUND, abelian_isomorphism_classes
+from zsmagic.groups import DEFAULT_ORDER_BOUND, abelian_groups_up_to, abelian_isomorphism_classes
 from zsmagic.oracle import (
     SearchReport,
     conjecture_scan,
@@ -265,6 +269,38 @@ def test_pinned_two_part_lifts():
     assert len(texts) == 152
     assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
         "6702ccd79b9bf858c46d37fa70089cab11cd56f87591da89ee9f0f22aeaaf8aa"
+    )
+
+
+def test_pinned_constructor_sweep():
+    """The certificates of the constructors, byte for byte: every equal-size partition
+    of every class-G group up to order 64, the Kotzig arrays with 2 to 5 rows of every
+    group up to order 32, the even-fibre labelings of C4, K4, K3,3 and C6 over every
+    group of each order, and the involution quadruples of six 2-groups."""
+    texts = [
+        partition_to_text(zsp(spec, m))
+        for spec in abelian_groups_up_to(64)
+        if in_class_g(spec)
+        for m in range(3, spec.order + 1)
+        if spec.order % m == 0
+    ]
+    assert len(texts) == 285
+    texts += [
+        array_to_text(build_group_kotzig(spec, j))
+        for spec in abelian_groups_up_to(32)
+        for j in range(2, 6)
+        if j % 2 == 0 or in_class_g(spec)
+    ]
+    assert len(texts) == 285 + 182
+    for g in (cycle_graph(4), complete_graph(4), complete_bipartite_graph(3, 3), cycle_graph(6)):
+        for n2 in (2, 4):
+            for spec in abelian_isomorphism_classes(g.n * n2):
+                texts.append(labeling_to_text(blowup_even_label(g, n2, spec)))
+    for factors in [(2,) * rank for rank in range(2, 7)] + [(2, 4, 6, 8)]:
+        texts.append(partition_to_text(involution_quadruples(GroupSpec(factors))))
+    assert len(texts) == 285 + 182 + 26 + 6
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+        "d91903235d49d786bd8a8d68d7fc4e43c125c7d39ac916d17f9c53358e3c14bb"
     )
 
 
