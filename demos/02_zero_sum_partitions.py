@@ -10,6 +10,7 @@ Run:  python demos/02_zero_sum_partitions.py
 
 from zsmagic import (
     NonexistenceError,
+    format_element,
     involution_quadruples,
     involutions,
     parse_group_spec,
@@ -36,7 +37,9 @@ print("verifier says:", verify_zsp(z2z2z3, part, 3))
 
 # Even block size: involution quadruples plus inverse pairs.
 quads = involution_quadruples(parse_group_spec("Z2xZ2xZ2"))
-print("involution quadruples of Z2xZ2xZ2:", quads.blocks)
+print("involution quadruples of Z2xZ2xZ2:")
+for block in quads.blocks:  # element indices; format them as elements
+    print("  " + " ".join(format_element(quads.spec.element_at(i)) for i in block))
 print(partition_to_text(zsp(z2z2z3, 4)))
 
 # Groups with exactly one involution refuse: the element sum is the
@@ -46,8 +49,9 @@ try:
 except NonexistenceError as exc:
     print("Z6:", exc)
 
-# The verifier reports the first failing block.
-bad = [[(0,), (1,), (2,)], [(3,), (4,), (5,)], [(6,), (7,), (8,)]]
+# The verifier reports the first failing block.  Blocks hold element
+# indices; in Z9 the element k has index k.
+bad = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
 print("tampered partition:", verify_zsp(z9, bad, 3))
 
 print("involutions of Z2xZ2xZ3:", involutions(z2z2z3))

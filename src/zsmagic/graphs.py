@@ -1,8 +1,8 @@
 """Graph model, lexicographic blow-ups and group distance magic labelings.
 
 A labeling assigns the elements of an Abelian group bijectively to the
-vertices of a graph of matching order; it is magic when every vertex's
-open-neighborhood label sum equals one constant.  The constructors here
+vertices of a graph of matching order, as element indices; it is magic
+when every vertex's open-neighborhood label sum equals one constant.  The constructors here
 realise the blow-up families; ``verify_labeling`` is the generic check
 and ``obstruction_check`` the two parity obstructions.
 """
@@ -11,18 +11,22 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import GroupSpecError, ParameterError
 from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSpec,
-    format_element,
+    check_order,
+    coordinates,
+    element_names,
     involution_count,
+    outer_sum,
     parse_group_spec,
     parse_ints,
-    read_elements,
     read_header,
+    read_indices,
     two_part_split,
 )
 from .zsp import zsp
@@ -200,21 +204,20 @@ def lex_product(g: Graph, h: Graph) -> Graph:
 
 @dataclass(frozen=True)
 class Labeling:
-    """A bijection from vertices onto the elements of a group."""
+    """A bijection from vertices onto the elements of a group: vertex v gets
+    the element with index ``assignment[v]``."""
 
     spec: GroupSpec
-    assignment: tuple[Element, ...]
+    assignment: tuple[int, ...]
 
     def __post_init__(self):
-        reduced = tuple(self.spec.reduce(e) for e in self.assignment)
-        object.__setattr__(self, "assignment", reduced)
-        if len(reduced) != self.spec.order or len(set(reduced)) != len(reduced):
+        assignment = tuple(self.assignment)
+        object.__setattr__(self, "assignment", assignment)
+        n = self.spec.order
+        if len(assignment) != n or set(assignment) != set(range(n)):
             raise ParameterError(
                 "labeling must assign every group element to exactly one vertex"
             )
-
-    def label(self, v: int) -> Element:
-        return self.assignment[v]
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ def weights(g: Graph, labeling: Labeling) -> list[Element]:
     """Open-neighborhood label sums, one reduced coordinate sum at a time;
     empty neighborhoods weigh the identity."""
     spec = labeling.spec
-    coords = [([e[t] for e in labeling.assignment], f) for t, f in enumerate(spec.factors)]
+    coords = [(list(map(col.__getitem__, labeling.assignment)), f) for col, f in zip(coordinates(spec), spec.factors)]
     return [tuple(sum(map(col.__getitem__, adj)) % f for col, f in coords) for adj in g.adj]
 
 
@@ -287,11 +290,7 @@ def blowup_label(g: Graph, n: int, spec: GroupSpec) -> Labeling:
     if n < 3:
         raise ParameterError(f"fiber size must be at least 3, got {n}")
     _check_blowup_order(g, n, spec)
-    partition = zsp(spec, n)
-    assignment: list[Element] = []
-    for block in partition.blocks:
-        assignment.extend(block)
-    return Labeling(spec, tuple(assignment))
+    return Labeling(spec, tuple(chain.from_iterable(zsp(spec, n).blocks)))
 
 
 def blowup_even_label(g: Graph, n2: int, spec: GroupSpec) -> Labeling:
@@ -299,29 +298,25 @@ def blowup_even_label(g: Graph, n2: int, spec: GroupSpec) -> Labeling:
 
     Picks the least s outside the doubled group, pairs every element x
     with s - x, and gives each fiber n2/2 pairs; each vertex then weighs
-    r * (n2/2) * s for an r-regular base.
+    r * (n2/2) * s for an r-regular base.  The doubles are the elements with
+    even coordinates at the even factors, so s is 1 at the last even factor
+    and 0 elsewhere.
     """
     if not g.is_regular:
         raise ParameterError("the base graph must be regular")
     if n2 % 2 != 0 or n2 < 2:
         raise ParameterError(f"fiber size must be even and >= 2, got {n2}")
     _check_blowup_order(g, n2, spec)
-    elems = spec.elements()
-    doubled = {spec.scale(2, e) for e in elems}
-    s = next((e for e in elems if e not in doubled), None)
-    if s is None:
+    check_order(spec.order)
+    last_even = max((t for t, f in enumerate(spec.factors) if f % 2 == 0), default=None)
+    if last_even is None:
         raise ParameterError(f"{spec} has odd order; every element is a double")
-    assignment: list[Element] = []
-    used: set[Element] = set()
-    for e in elems:
-        if e in used:
-            continue
-        partner = spec.sub(s, e)
-        used.add(e)
-        used.add(partner)
-        assignment.append(e)
-        assignment.append(partner)
-    return Labeling(spec, tuple(assignment))
+    # partner[x] is the index of s - x; s is no double, so x and s - x differ
+    partner = outer_sum(
+        [((t == last_even) - x) % f * stride for x in range(f)]
+        for t, (f, stride) in enumerate(zip(spec.factors, spec.strides))
+    )
+    return Labeling(spec, tuple(chain.from_iterable((x, p) for x, p in enumerate(partner) if x < p)))
 
 
 def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
@@ -347,12 +342,11 @@ def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
     if two_spec.order != 2:
         raise ParameterError(f"{spec} does not split as Z2 x (odd order)")
     partition = zsp(odd_spec, n_odd)
-    elems = spec.elements()
-    assignment: list[Element | None] = [None] * spec.order
+    assignment = [0] * spec.order
     for side, offset in ((v1, 0), (v2, odd_spec.order)):
         for u, block in zip(side, partition.blocks):
             for t, a in enumerate(block):
-                assignment[u * n_odd + t] = elems[merged[offset + odd_spec.index_of(a)]]
+                assignment[u * n_odd + t] = merged[offset + a]
     return Labeling(spec, tuple(assignment))
 
 
@@ -418,9 +412,9 @@ def graph_from_text(text: str) -> Graph:
 
 
 def labeling_to_text(labeling: Labeling) -> str:
+    names = list(element_names(labeling.spec))
     lines = [f"labeling {labeling.spec}"]
-    for v, e in enumerate(labeling.assignment):
-        lines.append(f"{v}\t{format_element(e)}")
+    lines += (f"{v}\t{names[i]}" for v, i in enumerate(labeling.assignment))
     return "\n".join(lines) + "\n"
 
 
@@ -439,4 +433,4 @@ def labeling_from_text(text: str) -> Labeling:
         if not 0 <= v < spec.order or labels[v] is not None:
             raise GroupSpecError(f"bad or repeated vertex {v}")
         labels[v] = [parts[1].strip()]
-    return Labeling(spec, tuple(e for (e,) in read_elements(spec, labels)))
+    return Labeling(spec, tuple(i for (i,) in read_indices(spec, labels)))

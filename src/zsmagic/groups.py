@@ -5,6 +5,11 @@ Z_nk``; elements are plain tuples of residues, one per factor.  Enumeration
 is mixed radix with the first coordinate most significant, so sorting
 element tuples sorts them by enumeration index.  Every "least element"
 tie-break in the package refers to that order.
+
+The four certificate objects (zero-sum partitions, triple bijections,
+Kotzig arrays and labelings) hold element indices in that order.  This
+module alone turns indices into text (``write_rows`` and
+``element_names``) and into coordinates (``coordinates``).
 """
 
 from __future__ import annotations
@@ -216,7 +221,7 @@ def header_fields(tokens, ints=()) -> dict:
 
 def certificate_lines(text: str) -> list[str]:
     """The content lines of a certificate: neither blank nor ``#`` annotations."""
-    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    return [ln for ln in text.splitlines() if (lead := ln.lstrip()) and lead[0] != "#"]
 
 
 def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str]]:
@@ -273,20 +278,18 @@ def read_indices(spec: GroupSpec, rows):
         yield indices
 
 
-def read_elements(spec: GroupSpec, rows):
-    """Yield each row of element tokens as a tuple of reduced elements (see :func:`read_indices`)."""
-    worth, rows = _worth_a_table(spec, rows)
-    element = spec.elements().__getitem__ if worth else spec.element_at
-    for row in read_indices(spec, rows):
-        yield tuple(map(element, row))
-
-
 def write_rows(spec: GroupSpec, header: str, rows) -> str:
     """A certificate: the header line, then one line of space-separated
-    elements of ``spec`` per row."""
-    element = format_element(("%d",) * spec.arity)  # a %-format with one %d per coordinate
-    lines = (" ".join([element] * len(row)) % tuple(chain.from_iterable(row)) for row in rows)
+    elements of ``spec`` per row of element indices."""
+    names = list(element_names(spec))
+    lines = (" ".join(map(names.__getitem__, row)) for row in rows)
     return "\n".join([header, *lines]) + "\n"
+
+
+def coordinates(spec: GroupSpec) -> list[list[int]]:
+    """One table per factor: entry ``[t][i]`` is coordinate t of the element with index i."""
+    order = spec.order
+    return [[x for x in range(f) for _ in range(s)] * (order // (f * s)) for f, s in zip(spec.factors, spec.strides)]
 
 
 # -- factorisation and canonical form ----------------------------------------
@@ -363,6 +366,11 @@ def outer_sum(tables) -> list[int]:
     for table in tables:
         out = [c + x for c in out for x in table]
     return out
+
+
+def negatives(spec: GroupSpec) -> list[int]:
+    """The index of -g for each element index g."""
+    return outer_sum([-x % f * s for x in range(f)] for f, s in zip(spec.factors, spec.strides))
 
 
 def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:

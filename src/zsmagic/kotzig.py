@@ -1,9 +1,9 @@
 """Builders and verifiers for group and integer Kotzig arrays.
 
 A Kotzig array is a j x k grid whose rows are permutations (of a group of
-order k, or of 0..k-1) and whose columns all have the same sum.  Group
-arrays built here always reach column sum identity; the verifier accepts
-any constant column sum.
+order k, or of 0..k-1) and whose columns all have the same sum.  A group
+array holds element indices.  Group arrays built here always reach column
+sum identity; the verifier accepts any constant column sum.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, check_order, header_fields, in_class_g, parse_group_spec
-from .groups import parse_ints, read_elements, read_header, write_rows
+from .groups import Element, GroupSpec, check_order, coordinates, header_fields, in_class_g, negatives
+from .groups import parse_group_spec, parse_ints, read_header, read_indices, write_rows
 from .zsp import triple_bijection
 
 
 @dataclass(frozen=True)
 class GroupKotzigArray:
     spec: GroupSpec
-    rows: tuple[tuple[Element, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def j(self) -> int:
@@ -35,7 +35,7 @@ class GroupKotzigArray:
         return self.spec.order
 
     def column_sum(self) -> Element:
-        return self.spec.sum(row[0] for row in self.rows)
+        return self.spec.sum(self.spec.element_at(row[0]) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,15 @@ def verify_kotzig(array) -> ArrayCheck:
     """
     if isinstance(array, GroupKotzigArray):
         spec = array.spec
-        full = sorted(spec.elements())
+        check_order(spec.order)
+        full = list(range(spec.order))
         for r, row in enumerate(array.rows):
             if sorted(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of the group")
-        coords = [
-            [sum(col) % f for col in zip(*([e[t] for e in row] for row in array.rows))]
-            for t, f in enumerate(spec.factors)
-        ]
-        sums = list(zip(*coords))
+        sums = list(zip(*(
+            [x % f for x in map(sum, zip(*(map(col.__getitem__, row) for row in array.rows)))]
+            for col, f in zip(coordinates(spec), spec.factors)
+        )))
     elif isinstance(array, IntKotzigArray):
         full = list(range(array.k))
         for r, row in enumerate(array.rows):
@@ -106,15 +106,14 @@ def _checked(array):
     return array
 
 
-def _rows_2(spec: GroupSpec) -> tuple[tuple[Element, ...], ...]:
-    elems = spec.elements()
-    return (tuple(elems), tuple(spec.neg(g) for g in elems))
+def _rows_2(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    check_order(spec.order)
+    return (tuple(range(spec.order)), tuple(negatives(spec)))
 
 
-def _rows_3(spec: GroupSpec) -> tuple[tuple[Element, ...], ...]:
+def _rows_3(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     tb = triple_bijection(spec)
-    elems = spec.elements()
-    return (tuple(elems), tuple(elems[i] for i in tb.phi), tuple(elems[i] for i in tb.psi))
+    return (tuple(range(spec.order)), tb.phi, tb.psi)
 
 
 def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
@@ -198,7 +197,7 @@ def array_from_text(text: str):
     if header[0] == "kotzig":
         spec = parse_group_spec(header[1])
         fields = header_fields(header[2:], ints=("j", "k"))
-        array = GroupKotzigArray(spec, tuple(read_elements(spec, rows)))
+        array = GroupKotzigArray(spec, tuple(map(tuple, read_indices(spec, rows))))
     else:
         fields = header_fields(header[1:], ints=("j", "k"))
         array = IntKotzigArray(fields["k"], tuple(tuple(parse_ints(row)) for row in rows))

@@ -52,12 +52,10 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mod
 
 from .errors import GroupSpecError, ParameterError
 from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verify_labeling
 from .groups import (
-    Element,
     GroupSpec,
     _partitions,
     abelian_groups_up_to,
@@ -66,8 +64,8 @@ from .groups import (
     header_fields,
     involution_count,
     parse_group_spec,
-    read_elements,
     read_header,
+    read_indices,
     sum_all,
     write_rows,
 )
@@ -84,6 +82,7 @@ from .zsp import (
     ZeroSumPartition,
     bijection_from_text,
     bijection_to_text,
+    check_blocks,
     partition_from_text,
     partition_to_text,
     verify_triple_bijection,
@@ -246,7 +245,8 @@ def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchR
     return _settle(
         tracker,
         lambda: extend([0], 0, m),
-        lambda: ZeroSumPartition.from_blocks(spec, m, [[elems[i] for i in blk] for blk in blocks]),
+        # the kernel closes blocks in canonical order: each block ascending, blocks by their least element
+        lambda: ZeroSumPartition(spec, m, tuple(map(tuple, blocks))),
         lambda witness: verify_zsp(spec, witness, m),
     )
 
@@ -371,7 +371,7 @@ def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
         raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
 
     def array_of(grid):
-        return GroupKotzigArray(spec, tuple(tuple(map(spec.element_at, row)) for row in grid))
+        return GroupKotzigArray(spec, tuple(map(tuple, grid)))
 
     return _search_group_grid(spec, j, array_of, verify_kotzig, budget)
 
@@ -493,7 +493,7 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
     return _settle(
         tracker,
         lambda: extend(0),
-        lambda: Labeling(spec, tuple(elems[i] for i in labels)),
+        lambda: Labeling(spec, tuple(labels)),
         lambda witness: verify_labeling(g, witness).is_magic,
     )
 
@@ -505,28 +505,25 @@ def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     """Check a partition of the nonidentity elements into zero-sum blocks
     with the given multiset of sizes.
 
-    Blocks hold reduced elements, as ``sized_partition_from_text`` and the
-    search return them; anything else is not in the universe.
+    Blocks hold elements, as ``sized_partition_from_text`` and the search
+    return them; an element that is not a reduced element of the group is
+    outside the universe.  The checks after the sizes are ``check_blocks``.
     """
     if Counter(len(b) for b in blocks) != Counter(sizes):
         return PartitionCheck(False, None, "block sizes do not match")
-    universe = {e for e in spec.elements() if e != spec.identity()}
-    seen: set[Element] = set()
-    for i, block in enumerate(blocks):
-        if len(set(block)) != len(block):
-            return PartitionCheck(False, i, f"block {i} repeats an element")
-        for e in block:
-            if e not in universe:
-                return PartitionCheck(False, i, f"block {i} contains {format_element(e)}")
-            if e in seen:
-                return PartitionCheck(False, i, f"block {i} repeats {format_element(e)}")
-            seen.add(e)
-    if seen != universe:
-        return PartitionCheck(False, None, "blocks do not cover the nonidentity elements")
-    for i, block in enumerate(blocks):
-        if any(map(mod, map(sum, zip(*block)), spec.factors)):
-            return PartitionCheck(False, i, f"block {i} sums to {format_element(spec.sum(block))}")
-    return PartitionCheck(True)
+    outside = []  # the elements that are not reduced elements of the group, as indices -1, -2, ...
+
+    def index(e) -> int:
+        if len(e) == spec.arity and all(0 <= x < f for x, f in zip(e, spec.factors)):
+            return spec.index_of(e)
+        outside.append(e)
+        return -len(outside)
+
+    def name(i: int) -> str:
+        return format_element(outside[~i] if i < 0 else spec.element_at(i))
+
+    rows = [[index(e) for e in block] for block in blocks]
+    return check_blocks(spec, rows, range(1, spec.order), name)
 
 
 def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -594,7 +591,8 @@ def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
 
 def sized_partition_to_text(spec: GroupSpec, blocks) -> str:
     sizes = ",".join(str(len(b)) for b in blocks)
-    return write_rows(spec, f"partition-sizes {spec} sizes={sizes}", blocks)
+    rows = ([spec.index_of(e) for e in block] for block in blocks)
+    return write_rows(spec, f"partition-sizes {spec} sizes={sizes}", rows)
 
 
 def sized_partition_from_text(text: str):
@@ -606,7 +604,7 @@ def sized_partition_from_text(text: str):
         sizes = tuple(int(s) for s in header_fields(header[2:])["sizes"].split(","))
     except (KeyError, ValueError) as exc:
         raise GroupSpecError("header needs sizes=<size>,<size>,...") from exc
-    blocks = tuple(read_elements(spec, map(str.split, body)))
+    blocks = tuple(tuple(map(spec.element_at, row)) for row in read_indices(spec, map(str.split, body)))
     if Counter(map(len, blocks)) != Counter(sizes):
         raise GroupSpecError("the block sizes contradict the header's sizes=")
     return spec, blocks

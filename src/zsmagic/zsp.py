@@ -14,7 +14,10 @@ Three builders live here, each paired with an independent verifier:
   least 3 and the group has more than one involution.
 
 None of the builders searches: every route is a closed form or a
-structural recursion on the group.
+structural recursion on the group.  Every object holds element indices
+(see ``groups``), and so do the constructors, the parsers and the
+verifiers; ``check_blocks`` is the partition check that ``verify_zsp`` and
+``oracle.verify_sized_partition`` share.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
-from operator import mod
 
 from .errors import (
     DivisibilityError,
@@ -36,12 +38,13 @@ from .groups import (
     Element,
     GroupSpec,
     check_order,
+    coordinates,
     format_element,
     header_fields,
     in_class_g,
+    negatives,
     outer_sum,
     parse_group_spec,
-    read_elements,
     read_header,
     read_indices,
     two_part_split,
@@ -62,33 +65,24 @@ class TripleBijection:
     phi: tuple[int, ...]
     psi: tuple[int, ...]
 
-    def columns(self) -> list[tuple[Element, Element, Element]]:
-        """(g, phi(g), psi(g)) triples in enumeration order of g."""
-        elems = self.spec.elements()
-        return [(g, elems[p], elems[q]) for g, p, q in zip(elems, self.phi, self.psi)]
-
 
 @dataclass(frozen=True)
 class ZeroSumPartition:
-    """Disjoint blocks of m elements each, every block summing to the identity.
+    """Disjoint blocks of m element indices each, every block summing to the
+    identity; each block is sorted, and so is the block list.
 
     Blocks normally cover the whole group; ``involution_quadruples`` returns
-    a partition of the involution closure only (pass that set as the
-    ``universe`` when verifying).
+    a partition of the involution closure only (pass the set of its indices
+    as the ``universe`` when verifying).
     """
 
     spec: GroupSpec
     m: int
-    blocks: tuple[tuple[Element, ...], ...]
-
-    @classmethod
-    def from_blocks(cls, spec: GroupSpec, m: int, blocks) -> "ZeroSumPartition":
-        """Reduce every element, then sort each block and the block list."""
-        return cls._sorted(spec, m, ([spec.reduce(e) for e in block] for block in blocks))
+    blocks: tuple[tuple[int, ...], ...]
 
     @classmethod
     def _sorted(cls, spec: GroupSpec, m: int, blocks) -> "ZeroSumPartition":
-        """Blocks of already reduced elements, sorted as ``from_blocks`` sorts them."""
+        """The partition of these blocks, each sorted and the list sorted."""
         return cls(spec, m, tuple(sorted(tuple(sorted(block)) for block in blocks)))
 
 
@@ -116,39 +110,47 @@ class BijectionCheck:
 
 
 def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCheck:
-    """Check cover, disjointness, block sizes and zero sums.
+    """Check block sizes, then the checks of ``check_blocks``.
 
-    ``universe`` defaults to the whole group.  Rejection is a result, not
-    an error; the first violating block index is reported.  Raw blocks
-    are reduced here; a ``ZeroSumPartition`` holds reduced elements.
+    ``partition`` is a ``ZeroSumPartition`` or blocks of element indices;
+    ``universe``, a set of element indices, defaults to the whole group.
+    Rejection is a result, not an error; the first violating block index
+    is reported.
     """
-    if isinstance(partition, ZeroSumPartition):
-        blocks = partition.blocks
-    else:
-        blocks = tuple(tuple(spec.reduce(e) for e in block) for block in partition)
-    if universe is None:
-        universe = spec.elements()
-    universe_set = set(universe)
-
+    blocks = partition.blocks if isinstance(partition, ZeroSumPartition) else tuple(partition)
     for i, block in enumerate(blocks):
         if len(block) != m or len(set(block)) != m:
             return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
-    seen: set[Element] = set()
+    return check_blocks(spec, blocks, range(spec.order) if universe is None else universe)
+
+
+def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> PartitionCheck:
+    """Check that blocks of element indices lie in ``universe`` (a range or
+    a set), repeat no element, cover the universe and each sum to the identity.
+
+    Repeats are found with a set of the indices seen, so the work is that of
+    the blocks, not of the group, until the cover holds; then each block is
+    summed from the coordinate tables.  ``name(i)`` spells an index in a
+    reason; it defaults to the element's text.
+    """
+    name = name or (lambda i: format_element(spec.element_at(i)))
+    seen: set[int] = set()
     for i, block in enumerate(blocks):
         for e in block:
-            if e not in universe_set:
-                return PartitionCheck(False, i, f"block {i} contains {format_element(e)} outside the universe")
+            if e not in universe:
+                return PartitionCheck(False, i, f"block {i} contains {name(e)} outside the universe")
             if e in seen:
-                return PartitionCheck(False, i, f"block {i} repeats {format_element(e)}")
+                return PartitionCheck(False, i, f"block {i} repeats {name(e)}")
             seen.add(e)
-    if seen != universe_set:
+    if len(seen) != len(universe):
         return PartitionCheck(False, None, "blocks do not cover the universe")
-    for i, block in enumerate(blocks):
-        # every element is a reduced member of the universe by now
-        if any(map(mod, map(sum, zip(*block)), spec.factors)):
-            return PartitionCheck(
-                False, i, f"block {i} sums to {format_element(spec.sum(block))}"
-            )
+    tables = list(zip(coordinates(spec), spec.factors))
+    first = len(blocks)
+    for col, f in tables:
+        first = next((i for i in range(first) if sum(map(col.__getitem__, blocks[i])) % f), first)
+    if first < len(blocks):
+        total = tuple(sum(map(col.__getitem__, blocks[first])) % f for col, f in tables)
+        return PartitionCheck(False, first, f"block {first} sums to {format_element(total)}")
     return PartitionCheck(True)
 
 
@@ -159,18 +161,15 @@ def verify_triple_bijection(tb: TripleBijection) -> BijectionCheck:
     for name, perm in (("phi", tb.phi), ("psi", tb.psi)):
         if len(perm) != n or set(perm) != set(range(n)):
             return BijectionCheck(False, None, f"{name} is not a permutation")
-    elems = tb.spec.elements()
+    tables = list(zip(coordinates(tb.spec), tb.spec.factors))
     phi, psi = tb.phi, tb.psi
     first = n
-    for t, f in enumerate(tb.spec.factors):
-        col = [g[t] for g in elems]
+    for col, f in tables:
         first = next((i for i in range(first) if (col[i] + col[phi[i]] + col[psi[i]]) % f), first)
     if first < n:
-        g = elems[first]
-        total = tb.spec.sum((g, elems[phi[first]], elems[psi[first]]))
-        return BijectionCheck(
-            False, first, f"column at {format_element(g)} sums to {format_element(total)}"
-        )
+        total = tuple((col[first] + col[phi[first]] + col[psi[first]]) % f for col, f in tables)
+        g = format_element(tb.spec.element_at(first))
+        return BijectionCheck(False, first, f"column at {g} sums to {format_element(total)}")
     return BijectionCheck(True)
 
 
@@ -189,20 +188,16 @@ def involution_quadruples(spec: GroupSpec) -> ZeroSumPartition:
         raise ParameterError(
             f"group {spec} has {2 ** rank - 1} involution(s); need at least 2"
         )
-    basis = []
-    for pos, f in enumerate(spec.factors):
-        if f % 2 == 0:
-            e = [0] * spec.arity
-            e[pos] = f // 2
-            basis.append(tuple(e))
+    # the involution with f/2 at one even factor, as an index; sums of distinct ones carry nothing
+    basis = [f // 2 * s for f, s in zip(spec.factors, spec.strides) if f % 2 == 0]
 
-    def doubled_blocks(gens: list[Element]) -> list[tuple[Element, ...]]:
+    def doubled_blocks(gens: list[int]) -> list[tuple[int, ...]]:
         if len(gens) == 2:
             a, b = gens
-            return [(spec.identity(), a, b, spec.add(a, b))]
+            return [(0, a, b, a + b)]
         sub = doubled_blocks(gens[1:])
         top = gens[0]
-        return sub + [tuple(spec.add(top, e) for e in blk) for blk in sub]
+        return sub + [tuple(top + e for e in blk) for blk in sub]
 
     return ZeroSumPartition._sorted(spec, 4, doubled_blocks(basis))
 
@@ -477,18 +472,10 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
 # -- equal-size zero-sum partitions ---------------------------------------------
 
 
-def _inverse_pairs(spec: GroupSpec, exclude: set[Element]) -> list[tuple[Element, Element]]:
-    """Pairs {g, -g} of the elements outside ``exclude``, by ascending g."""
-    pairs = []
-    taken: set[Element] = set()
-    for g in spec.elements():
-        if g in exclude or g in taken:
-            continue
-        ng = spec.neg(g)
-        pairs.append((g, ng))
-        taken.add(g)
-        taken.add(ng)
-    return pairs
+def _inverse_pairs(spec: GroupSpec) -> list[tuple[int, int]]:
+    """Pairs (g, -g) of element indices with g < -g, by ascending g: every
+    element outside the involution closure, once."""
+    return [(g, ng) for g, ng in enumerate(negatives(spec)) if g < ng]
 
 
 def _check_admissible(spec: GroupSpec, m: int) -> None:
@@ -520,15 +507,14 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     if m2 % 2 != 0 or m2 < 4:
         raise ParameterError(f"block size must be even and >= 4, got {m2}")
     _check_admissible(spec, m2)
-    quads = list(involution_quadruples(spec).blocks)
-    closure = {e for blk in quads for e in blk}
-    pairs = _inverse_pairs(spec, exclude=closure)
+    quads = involution_quadruples(spec).blocks
+    pairs = _inverse_pairs(spec)
     t = spec.order // m2
     # m2 = 2 mod 4 and m2 >= 6 give the order n an odd factor >= 3, so the 2^r elements of
     # order <= 2 are at most n/3 and leave (n - 2^r)/2 >= n/3 >= t pairs to seed the blocks
     seeded = m2 % 4 == 2
     seeds, rest = (pairs[:t], pairs[t:]) if seeded else ([()] * t, pairs)
-    blocks: list[list[Element]] = []
+    blocks: list[list[int]] = []
     qi = pi = 0
     for seed in seeds:
         block = list(seed)
@@ -557,7 +543,7 @@ def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
     sum to 0 and are units on H, so each block sums to the identity and
     the r-th entries run once over the coset a_r + H.
     """
-    factors = spec.factors
+    factors, strides = spec.factors, spec.strides
     steps = []
     left = m
     for f in factors:
@@ -568,7 +554,7 @@ def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
     reps[0] = tuple(-(m * (d - 1) // 2) % f for d, f in zip(steps, factors))
     coeffs = (1, 1, -2) + (1, -1) * ((m - 3) // 2)
     blocks = [
-        [tuple((a + c * x) % f for a, x, f in zip(rep, h, factors)) for rep, c in zip(reps, coeffs)]
+        [sum((a + c * x) % f * s for a, x, f, s in zip(rep, h, factors, strides)) for rep, c in zip(reps, coeffs)]
         for h in product(*(range(0, f, d) for f, d in zip(factors, steps)))
     ]
     return ZeroSumPartition._sorted(spec, m, blocks)
@@ -592,17 +578,15 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     else:
         two_spec, odd_spec, merged = two_part_split(spec)
         n_odd = odd_spec.order
-        odd_partition = _odd_base_partition(odd_spec, m)
-        odd_blocks = [list(map(odd_spec.index_of, block)) for block in odd_partition.blocks]
+        odd_blocks = _odd_base_partition(odd_spec, m).blocks
         tb = triple_bijection(two_spec)
         shrink = pow(m - 2, -1, math.lcm(*two_spec.factors))
-        elems = spec.elements()
         blocks = []
         for w, p, q in zip(two_spec.elements(), tb.phi, tb.psi):
             shrunk = two_spec.index_of(two_spec.scale(shrink, w))
             offsets = [p * n_odd, q * n_odd] + [shrunk * n_odd] * (m - 2)
             for block in odd_blocks:
-                blocks.append([elems[merged[t + a]] for t, a in zip(offsets, block)])
+                blocks.append([merged[t + a] for t, a in zip(offsets, block)])
         partition = ZeroSumPartition._sorted(spec, m, blocks)
     return _checked(partition)
 
@@ -638,14 +622,14 @@ def partition_from_text(text: str) -> ZeroSumPartition:
     header, body = read_header(text, "partition certificate", {"partition": 3})
     spec = parse_group_spec(header[1])
     m = header_fields(header[2:], ints=("m",))["m"]
-    blocks = list(read_elements(spec, map(str.split, body)))
+    blocks = list(read_indices(spec, map(str.split, body)))
     if any(len(block) != m for block in blocks):
         raise GroupSpecError(f"header says m={m}, a block of the body has another size")
     return ZeroSumPartition._sorted(spec, m, blocks)
 
 
 def bijection_to_text(tb: TripleBijection) -> str:
-    return write_rows(tb.spec, f"bijection {tb.spec}", tb.columns())
+    return write_rows(tb.spec, f"bijection {tb.spec}", zip(range(tb.spec.order), tb.phi, tb.psi))
 
 
 def bijection_from_text(text: str) -> TripleBijection:

@@ -1,4 +1,5 @@
 import pytest
+from conftest import indices
 
 from zsmagic import (
     Graph,
@@ -109,28 +110,32 @@ class TestVerifyLabeling:
 
     def test_cycle_labeling_around_c4(self):
         spec = GroupSpec((4,))
-        around = verify_labeling(cycle_graph(4), Labeling(spec, ((0,), (1,), (2,), (3,))))
+        around = verify_labeling(cycle_graph(4), Labeling(spec, indices(spec, ((0,), (1,), (2,), (3,)))))
         assert around.status == "not-magic" and around.witness == (0, 1)
-        swapped = verify_labeling(cycle_graph(4), Labeling(spec, ((0,), (1,), (3,), (2,))))
+        swapped = verify_labeling(cycle_graph(4), Labeling(spec, indices(spec, ((0,), (1,), (3,), (2,)))))
         assert swapped.is_magic and swapped.mu == (3,)
 
     def test_path_not_magic(self):
-        verdict = verify_labeling(path_graph(3), Labeling(GroupSpec((3,)), ((0,), (1,), (2,))))
+        spec = GroupSpec((3,))
+        verdict = verify_labeling(path_graph(3), Labeling(spec, indices(spec, ((0,), (1,), (2,)))))
         assert verdict.status == "not-magic"
         assert verdict.witness == (0, 1)
 
     def test_empty_neighborhood_weighs_identity(self):
-        lab = Labeling(GroupSpec((3,)), ((1,), (2,), (0,)))
+        spec = GroupSpec((3,))
+        lab = Labeling(spec, indices(spec, ((1,), (2,), (0,))))
         assert weights(empty_graph(3), lab) == [(0,), (0,), (0,)]
         assert verify_labeling(empty_graph(3), lab).is_magic
 
     def test_size_mismatch(self):
         with pytest.raises(ParameterError):
-            verify_labeling(path_graph(3), Labeling(GroupSpec((4,)), ((0,), (1,), (2,), (3,))))
+            spec = GroupSpec((4,))
+            verify_labeling(path_graph(3), Labeling(spec, indices(spec, ((0,), (1,), (2,), (3,)))))
 
     def test_labeling_must_be_bijection(self):
         with pytest.raises(ParameterError):
-            Labeling(GroupSpec((3,)), ((0,), (0,), (1,)))
+            spec = GroupSpec((3,))
+            Labeling(spec, indices(spec, ((0,), (0,), (1,))))
 
 
 class TestBlowupLabel:

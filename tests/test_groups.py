@@ -1,5 +1,5 @@
 import pytest
-from conftest import elements_of, group_specs
+from conftest import elements, elements_of, group_specs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from zsmagic import (
     two_part_split,
     two_torsion_rank,
 )
-from zsmagic.groups import abelian_groups_up_to, element_names, read_elements, read_indices, write_rows
+from zsmagic.groups import abelian_groups_up_to, element_names, read_indices, write_rows
 
 
 class TestSpecGrammar:
@@ -344,8 +344,9 @@ class TestReadElements:
     @settings(max_examples=60)
     def test_rows_roundtrip(self, spec, data):
         rows = data.draw(st.lists(st.lists(elements_of(spec), max_size=4), max_size=4))
-        text = write_rows(spec, "header", rows)
-        assert list(read_elements(spec, [ln.split() for ln in text.splitlines()[1:]])) == [tuple(r) for r in rows]
+        text = write_rows(spec, "header", [list(map(spec.index_of, r)) for r in rows])
+        read = read_indices(spec, [ln.split() for ln in text.splitlines()[1:]])
+        assert list(elements(spec, read)) == [tuple(r) for r in rows]
 
     @given(
         st.sampled_from([GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 4)), GroupSpec((3, 3, 6))]),
@@ -358,11 +359,11 @@ class TestReadElements:
             expected = _read_one_by_one(spec, rows)
         except GroupSpecError:
             with pytest.raises(GroupSpecError):
-                list(read_elements(spec, rows))
+                elements(spec, read_indices(spec, rows))
             with pytest.raises(GroupSpecError):
                 list(read_indices(spec, rows))
         else:
-            assert list(read_elements(spec, rows)) == expected
+            assert list(elements(spec, read_indices(spec, rows))) == expected
             assert list(read_indices(spec, rows)) == [list(map(spec.index_of, row)) for row in expected]
 
     @pytest.mark.parametrize("spec", [GroupSpec(()), GroupSpec((5,)), GroupSpec((2, 2, 3))], ids=str)
@@ -379,9 +380,9 @@ class TestReadElements:
             expected = _read_one_by_one(spec, rows)
         except GroupSpecError:
             with pytest.raises(GroupSpecError):
-                list(read_elements(spec, rows))
+                elements(spec, read_indices(spec, rows))
         else:
-            assert list(read_elements(spec, rows)) == expected
+            assert list(elements(spec, read_indices(spec, rows))) == expected
 
     @given(group_specs(max_order=256, max_factors=4))
     @example(GroupSpec(()))
@@ -390,9 +391,12 @@ class TestReadElements:
         assert element_names(spec) == {format_element(e): i for i, e in enumerate(spec.elements())}
 
     def test_unwritten_spellings_still_read(self):
-        assert list(read_elements(GroupSpec((5,)), [["(7)", "-1"]])) == [((2,), (4,))]
-        assert list(read_elements(GroupSpec(()), [["()"], []])) == [((),), ()]
-        assert list(read_elements(GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]])) == [((1, 1), (1, 2))]
+        for spec, rows, expected in [
+            (GroupSpec((5,)), [["(7)", "-1"]], [((2,), (4,))]),
+            (GroupSpec(()), [["()"], []], [((),), ()]),
+            (GroupSpec((2, 4)), [["(1, 5)", "(-1,+2)"]], [((1, 1), (1, 2))]),
+        ]:
+            assert list(elements(spec, read_indices(spec, rows))) == expected
 
     @pytest.mark.parametrize(
         "rows",
@@ -405,13 +409,13 @@ class TestReadElements:
     )
     def test_each_token_is_one_element(self, rows):
         with pytest.raises(GroupSpecError, match="bad element"):
-            list(read_elements(GroupSpec((2, 2)), rows))
+            list(read_indices(GroupSpec((2, 2)), rows))
 
     def test_long_bodies_read_in_chunks(self):
         spec = GroupSpec((7, 9))
         rows = [[f"({r % 7},{c})" for c in range(r % 5)] for r in range(5000)]
         expected = [tuple((r % 7, c) for c in range(r % 5)) for r in range(5000)]
-        assert list(read_elements(spec, rows)) == expected
+        assert list(elements(spec, read_indices(spec, rows))) == expected
         rows[4321][0] = "(1,2,3)"
         with pytest.raises(GroupSpecError, match=r"element \(1, 2, 3\) has 3 coordinates"):
-            list(read_elements(spec, rows))
+            list(read_indices(spec, rows))

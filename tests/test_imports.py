@@ -34,7 +34,7 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "groups"], ids=lambda p: p.stem)
 def test_only_groups_parses_elements(path):
-    """Element tokens are read by the codec in ``groups`` alone (``read_indices``, ``read_elements``)."""
+    """Element tokens are read by the codec in ``groups`` alone (``read_indices``)."""
     uses = [
         node.lineno
         for node in ast.walk(ast.parse(path.read_text()))

@@ -1,4 +1,5 @@
 import pytest
+from conftest import elements, indices
 
 from zsmagic import (
     GroupSpec,
@@ -17,8 +18,9 @@ from zsmagic.groups import abelian_groups_up_to
 
 class TestGroupBuilders:
     def test_two_rows_z3(self):
-        array = build_group_kotzig(GroupSpec((3,)), 2)
-        assert array.rows == (((0,), (1,), (2,)), ((0,), (2,), (1,)))
+        spec = GroupSpec((3,))
+        array = build_group_kotzig(spec, 2)
+        assert elements(spec, array.rows) == (((0,), (1,), (2,)), ((0,), (2,), (1,)))
         assert array.column_sum() == (0,)
 
     def test_two_rows_self_inverse_group(self):
@@ -27,13 +29,15 @@ class TestGroupBuilders:
         assert array.column_sum() == (0, 0)
 
     def test_two_rows_z4(self):
-        array = build_group_kotzig(GroupSpec((4,)), 2)
-        assert array.rows == (((0,), (1,), (2,), (3,)), ((0,), (3,), (2,), (1,)))
+        spec = GroupSpec((4,))
+        array = build_group_kotzig(spec, 2)
+        assert elements(spec, array.rows) == (((0,), (1,), (2,), (3,)), ((0,), (3,), (2,), (1,)))
 
     def test_three_rows_odd_group(self):
-        array = build_group_kotzig(GroupSpec((5,)), 3)
+        spec = GroupSpec((5,))
+        array = build_group_kotzig(spec, 3)
         assert array.rows[0] == array.rows[1]  # odd order: phi is the identity
-        assert array.rows[2] == tuple(((-2 * g) % 5,) for g in range(5))
+        assert elements(spec, array.rows)[2] == tuple(((-2 * g) % 5,) for g in range(5))
         assert verify_kotzig(array).ok
 
     def test_three_rows_from_seed_table(self):
@@ -111,8 +115,9 @@ class TestVerifier:
         assert verify_kotzig(build_int_kotzig(2, 4)).ok
 
     def test_rejects_duplicate_row(self):
+        spec = GroupSpec((3,))
         row = ((0,), (1,), (2,))
-        check = verify_kotzig(GroupKotzigArray(GroupSpec((3,)), (row, row)))
+        check = verify_kotzig(GroupKotzigArray(spec, indices(spec, (row, row))))
         assert not check.ok
         assert check.col == 1
 
@@ -124,7 +129,7 @@ class TestVerifier:
     def test_accepts_nonidentity_constant_sum(self):
         spec = GroupSpec((3,))
         rows = (((0,), (1,), (2,)), ((1,), (0,), (2,)))
-        array = GroupKotzigArray(spec, rows)
+        array = GroupKotzigArray(spec, indices(spec, rows))
         assert verify_kotzig(array).ok
         assert array.column_sum() == (1,)
 

@@ -6,6 +6,7 @@ also held against a plain reference that adds whole elements."""
 from dataclasses import replace
 
 import pytest
+from conftest import elements, indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,28 +61,28 @@ class TestPartition:
 
     @pytest.fixture
     def blocks(self):
-        return zsp(SPEC, self.m).blocks
+        return elements(SPEC, zsp(SPEC, self.m).blocks)
 
     def test_valid(self, blocks):
-        assert verify_zsp(SPEC, ZeroSumPartition(SPEC, self.m, blocks), self.m).ok
+        assert verify_zsp(SPEC, ZeroSumPartition(SPEC, self.m, indices(SPEC, blocks)), self.m).ok
 
     def test_replaced_element(self, blocks):
         block = list(blocks[3])
         block[2] = _other_element(SPEC, block[2])
         edited = blocks[:3] + (tuple(block),) + blocks[4:]
-        assert not verify_zsp(SPEC, edited, self.m).ok
+        assert not verify_zsp(SPEC, indices(SPEC, edited), self.m).ok
 
     @pytest.mark.parametrize("a, b", [((2, 0), (5, 3)), ((0, 1), (1, 1)), ((7, 5), (4, 2))])
     def test_swap_across_blocks(self, blocks, a, b):
         edited = _swap(blocks, a, b)
-        check = verify_zsp(SPEC, ZeroSumPartition(SPEC, self.m, edited), self.m)
+        check = verify_zsp(SPEC, ZeroSumPartition(SPEC, self.m, indices(SPEC, edited)), self.m)
         first = min(a[0], b[0])
         assert not check.ok
         assert check.block_index == first
         assert check.reason == f"block {first} sums to {format_element(_element_sum(SPEC, edited[first]))}"
 
     def test_dropped_block(self, blocks):
-        check = verify_zsp(SPEC, blocks[:-1], self.m)
+        check = verify_zsp(SPEC, indices(SPEC, blocks[:-1]), self.m)
         assert not check.ok and check.reason == "blocks do not cover the universe"
 
 
@@ -155,9 +156,9 @@ class TestKotzig:
 def test_group_kotzig_matches_reference():
     """Column sums per coordinate equal the sums of whole elements."""
     array = build_group_kotzig(SPEC, 7)
-    rows = _swap(array.rows, (1, 3), (1, 77))
+    rows = _swap(elements(SPEC, array.rows), (1, 3), (1, 77))
     rows = _swap(rows, (4, 20), (4, 90))
-    check = verify_kotzig(GroupKotzigArray(SPEC, rows))
+    check = verify_kotzig(GroupKotzigArray(SPEC, indices(SPEC, rows)))
     sums = [_element_sum(SPEC, col) for col in zip(*rows)]
     bad = next(c for c in range(1, len(sums)) if sums[c] != sums[0])
     assert (check.ok, check.col) == (False, bad)
@@ -170,30 +171,30 @@ class TestLabeling:
 
     @pytest.fixture
     def labels(self):
-        return blowup_label(complete_graph(4), 3, self.spec).assignment
+        return elements(self.spec, blowup_label(complete_graph(4), 3, self.spec).assignment)
 
     def test_valid(self, labels):
-        assert verify_labeling(self.graph, Labeling(self.spec, labels)).is_magic
+        assert verify_labeling(self.graph, Labeling(self.spec, indices(self.spec, labels))).is_magic
 
     def test_replaced_element(self, labels):
         with pytest.raises(ParameterError):
-            Labeling(self.spec, labels[:4] + (_other_element(self.spec, labels[4]),) + labels[5:])
+            Labeling(self.spec, indices(self.spec, labels[:4] + (_other_element(self.spec, labels[4]),) + labels[5:]))
 
     @pytest.mark.parametrize("u, v", [(0, 3), (1, 11), (5, 7)])
     def test_swap_across_fibers(self, labels, u, v):
         edited = list(labels)
         edited[u], edited[v] = edited[v], edited[u]
-        verdict = verify_labeling(self.graph, Labeling(self.spec, tuple(edited)))
+        verdict = verify_labeling(self.graph, Labeling(self.spec, indices(self.spec, edited)))
         assert verdict.status == "not-magic"
 
     def test_dropped_vertex(self, labels):
         with pytest.raises(ParameterError):
-            Labeling(self.spec, labels[:-1])
+            Labeling(self.spec, indices(self.spec, labels[:-1]))
 
     def test_weights_match_reference(self, labels):
         edited = (labels[7],) + labels[1:7] + (labels[0],) + labels[8:]
         expected = [_element_sum(self.spec, [edited[w] for w in adj]) for adj in self.graph.adj]
-        assert weights(self.graph, Labeling(self.spec, edited)) == expected
+        assert weights(self.graph, Labeling(self.spec, indices(self.spec, edited))) == expected
 
 
 class TestSizedPartition:

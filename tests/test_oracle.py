@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from conftest import elements
 
 from zsmagic import (
     GroupSpec,
@@ -50,9 +51,10 @@ class TestSearchZsp:
         assert verify_zsp(GroupSpec((9,)), report.witness, 3).ok
 
     def test_klein_four_whole_group(self):
-        report = search_zsp(GroupSpec((2, 2)), 4)
+        spec = GroupSpec((2, 2))
+        report = search_zsp(spec, 4)
         assert report.found
-        assert report.witness.blocks == (((0, 0), (0, 1), (1, 0), (1, 1)),)
+        assert elements(spec, report.witness.blocks) == (((0, 0), (0, 1), (1, 0), (1, 1)),)
 
     def test_least_witness_is_deterministic(self):
         a = search_zsp(GroupSpec((9,)), 3)
@@ -164,7 +166,7 @@ class TestGridBudget:
         array, bijection = search_kotzig(spec, 3), search_triple_bijection(spec)
         assert array.nodes == bijection.nodes
         assert array.found and bijection.found
-        assert array.witness.rows[1] == tuple(map(spec.element_at, bijection.witness.phi))
+        assert elements(spec, array.witness.rows[1]) == tuple(map(spec.element_at, bijection.witness.phi))
 
 
 def _truncated_tetrahedron() -> Graph:
@@ -185,9 +187,10 @@ class TestSearchLabeling:
         assert not report.found and report.exhausted
 
     def test_c4_found_least(self):
-        report = search_labeling(cycle_graph(4), GroupSpec((4,)))
+        spec = GroupSpec((4,))
+        report = search_labeling(cycle_graph(4), spec)
         assert report.found
-        assert report.witness.assignment == ((0,), (1,), (3,), (2,))
+        assert elements(spec, report.witness.assignment) == ((0,), (1,), (3,), (2,))
         assert verify_labeling(cycle_graph(4), report.witness).is_magic
 
     def test_k2_z2_nonexistence(self):
@@ -255,7 +258,7 @@ class TestLabelingCuts:
                 least = _least_magic_labeling(g, spec.factors)
                 report = search_labeling(g, spec)
                 assert report.exhausted and report.found == (least is not None), (list(g.edges()), spec)
-                assert report.witness is None or report.witness.assignment == least
+                assert report.witness is None or elements(spec, report.witness.assignment) == least
 
     def test_regular_atlas_rows_with_nonzero_total_decided_at_root(self):
         nx = pytest.importorskip("networkx")
@@ -458,7 +461,7 @@ def test_pinned_labeling_verdicts():
             report = search_labeling(g, spec)
             if obstruction_check(g, spec).status == "impossible":
                 assert not report.found and report.exhausted, (atlas_graph.edges(), spec)
-            rows.append((report.found, report.exhausted, report.witness and report.witness.assignment))
+            rows.append((report.found, report.exhausted, report.witness and elements(spec, report.witness.assignment)))
     assert len(rows) == 1263
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "3de621484ca03c30e8a6e45b53b523fedb7c331be062305c59d566c8e14821f2"

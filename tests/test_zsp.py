@@ -3,7 +3,7 @@ import tracemalloc
 from itertools import permutations
 
 import pytest
-from conftest import group_specs, images
+from conftest import elements, group_specs, images, indices
 from hypothesis import given, settings
 
 from zsmagic import (
@@ -70,13 +70,15 @@ class TestSeedTables:
 
 class TestInvolutionQuadruples:
     def test_klein_four_single_block(self):
-        part = involution_quadruples(GroupSpec((2, 2)))
-        assert part.blocks == (((0, 0), (0, 1), (1, 0), (1, 1)),)
+        spec = GroupSpec((2, 2))
+        part = involution_quadruples(spec)
+        assert elements(spec, part.blocks) == (((0, 0), (0, 1), (1, 0), (1, 1)),)
 
     def test_rank_three_prefix_structure(self):
-        part = involution_quadruples(GroupSpec((2, 2, 2)))
+        spec = GroupSpec((2, 2, 2))
+        part = involution_quadruples(spec)
         assert len(part.blocks) == 2
-        prefixes = [{e[0] for e in blk} for blk in part.blocks]
+        prefixes = [{e[0] for e in blk} for blk in elements(spec, part.blocks)]
         assert sorted(map(tuple, prefixes)) == [(0,), (1,)]
 
     def test_rank_four(self):
@@ -84,7 +86,7 @@ class TestInvolutionQuadruples:
         part = involution_quadruples(spec)
         assert len(part.blocks) == 4
         universe = (spec.identity(),) + involutions(spec)
-        assert verify_zsp(spec, part, 4, universe=universe).ok
+        assert verify_zsp(spec, part, 4, universe=set(indices(spec, universe))).ok
 
     def test_single_involution_rejected(self):
         with pytest.raises(ParameterError):
@@ -99,7 +101,7 @@ class TestInvolutionQuadruples:
         part = involution_quadruples(spec)
         assert len(part.blocks) == 2 ** (rank - 2)
         universe = (spec.identity(),) + involutions(spec)
-        assert verify_zsp(spec, part, 4, universe=universe).ok
+        assert verify_zsp(spec, part, 4, universe=set(indices(spec, universe))).ok
 
 
 class TestTripleBijection:
@@ -163,23 +165,25 @@ class TestVerifyZsp:
     def test_accepts_z9_triples(self):
         spec = GroupSpec((9,))
         blocks = [[(0,), (1,), (8,)], [(2,), (3,), (4,)], [(5,), (6,), (7,)]]
-        assert verify_zsp(spec, blocks, 3).ok
+        assert verify_zsp(spec, indices(spec, blocks), 3).ok
 
     def test_rejects_bad_sum_and_reports_block(self):
         spec = GroupSpec((9,))
         blocks = [[(0,), (1,), (2,)], [(3,), (4,), (5,)], [(6,), (7,), (8,)]]
-        check = verify_zsp(spec, blocks, 3)
+        check = verify_zsp(spec, indices(spec, blocks), 3)
         assert not check.ok
         assert check.block_index == 0
         assert "sums to 3" in check.reason
 
     def test_rejects_pairs(self):
-        check = verify_zsp(GroupSpec((4,)), [[(0,), (1,)], [(2,), (3,)]], 2)
+        spec = GroupSpec((4,))
+        check = verify_zsp(spec, indices(spec, [[(0,), (1,)], [(2,), (3,)]]), 2)
         assert not check.ok
         assert check.block_index == 0
 
     def test_rejects_bad_size(self):
-        check = verify_zsp(GroupSpec((9,)), [[(0,), (1,)], [(2,)]], 3)
+        spec = GroupSpec((9,))
+        check = verify_zsp(spec, indices(spec, [[(0,), (1,)], [(2,)]]), 3)
         assert not check.ok
 
     def test_rejects_missing_cover(self):
@@ -192,13 +196,14 @@ class TestVerifyZsp:
     def test_rejects_duplicates(self):
         spec = GroupSpec((9,))
         blocks = [[(0,), (1,), (8,)], [(1,), (3,), (5,)], [(2,), (6,), (7,)]]
-        assert not verify_zsp(spec, blocks, 3).ok
+        assert not verify_zsp(spec, indices(spec, blocks), 3).ok
 
 
 class TestZspEven:
     def test_klein_four_whole_group(self):
-        part = zsp_even(GroupSpec((2, 2)), 4)
-        assert part.blocks == (((0, 0), (0, 1), (1, 0), (1, 1)),)
+        spec = GroupSpec((2, 2))
+        part = zsp_even(spec, 4)
+        assert elements(spec, part.blocks) == (((0, 0), (0, 1), (1, 0), (1, 1)),)
 
     def test_z2z2z3_blocks_of_six(self):
         spec = GroupSpec((2, 2, 3))
@@ -280,8 +285,9 @@ class TestZspDispatcher:
         assert verify_zsp(spec, part, 4).ok
 
     def test_whole_group_z7(self):
-        part = zsp(GroupSpec((7,)), 7)
-        assert part.blocks == (((0,), (1,), (2,), (3,), (4,), (5,), (6,)),)
+        spec = GroupSpec((7,))
+        part = zsp(spec, 7)
+        assert elements(spec, part.blocks) == (((0,), (1,), (2,), (3,), (4,), (5,), (6,)),)
 
     def test_m_two_always_impossible(self):
         with pytest.raises(ImpossibilityError):
