@@ -516,6 +516,16 @@ class TestVerifyOutput:
                 None, EXIT_REJECT, _verdict(False, "partition-sizes", "block 0 sums to (1,0,1)"),
                 id="partition-sizes-rejected",
             ),
+            pytest.param(
+                SIZED_CERT.replace("(0,0,1) (0,1,0)", "(0,0,0) (0,1,0)"), None, EXIT_REJECT,
+                _verdict(False, "partition-sizes", "block 0 contains (0,0,0) outside the universe"),
+                id="partition-sizes-identity",
+            ),
+            pytest.param(
+                SIZED_CERT.replace("(0,1,0) (0,1,1)", "(0,1,0) (0,0,1)"), None, EXIT_REJECT,
+                _verdict(False, "partition-sizes", "block 0 repeats (0,0,1)"),
+                id="partition-sizes-repeated",
+            ),
             pytest.param(ZSP_REPORT, None, EXIT_OK, _verdict(True, "partition"), id="report-found"),
             pytest.param(
                 ZSP_REPORT.replace("0 1 8\n2 3 4\n5 6 7", "0 1 2\n3 4 5\n6 7 8"), None, EXIT_REJECT,

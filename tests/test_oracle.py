@@ -308,6 +308,19 @@ class TestConjectureScan:
         for spec, sizes, report in rows:
             assert report.found and report.exhausted, (spec, sizes)
 
+    def test_witness_blocks_hold_element_tuples(self):
+        """A scan witness is ``(spec, blocks)`` with each block a tuple of element
+        tuples of the spec's arity, as ``bench/workloads.py`` formats it, while
+        the other certificate objects hold element indices."""
+        rows = list(scan_conjecture(16))
+        assert rows
+        for spec, sizes, report in rows:
+            witness_spec, blocks = report.witness
+            assert witness_spec == spec and sorted(map(len, blocks)) == sorted(sizes)
+            for block in blocks:
+                assert type(block) is tuple
+                assert all(type(e) is tuple and len(e) == spec.arity and all(type(x) is int for x in e) for e in block)
+
 
 class TestAgreement:
     def test_constructor_matches_search_up_to_16(self):

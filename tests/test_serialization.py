@@ -43,6 +43,7 @@ from zsmagic.errors import ZsmagicError
 from zsmagic.groups import DEFAULT_ORDER_BOUND, abelian_groups_up_to, abelian_isomorphism_classes
 from zsmagic.oracle import (
     SearchReport,
+    certificate_from_text,
     conjecture_scan,
     report_from_text,
     report_to_text,
@@ -69,6 +70,10 @@ class TestPartitionText:
     def test_comments_ignored(self):
         part = zsp(GroupSpec((9,)), 3)
         text = "# produced by a test\n" + partition_to_text(part) + "# trailing\n"
+        assert partition_from_text(text) == part
+        # a line of spaces and tabs, a "#" line indented by a tab, a line holding "#" alone
+        header, *body = partition_to_text(part).splitlines()
+        text = "\n".join([header, " \t \t", body[0], "\t# indented", body[1], "#", body[2]]) + "\n"
         assert partition_from_text(text) == part
 
     def test_bad_header(self):
@@ -381,6 +386,23 @@ def test_short_body_builds_no_order_sized_table(parse, text, error):
     finally:
         tracemalloc.stop()
     assert raised == error
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "body, reason", [("0 0", "block 0 does not have 2 distinct elements"), ("0 1", "blocks do not cover the universe")]
+)
+def test_short_partition_verified_without_the_group(body, reason):
+    """Verifying a short partition of a group of order 2^20 costs what its text
+    costs: the checks before the cover hold no table of the group."""
+    tracemalloc.start()
+    try:
+        _word, witness, verify = certificate_from_text(f"partition Z1048576 m=2\n{body}\n")
+        check = verify(witness)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (check.ok, check.reason) == (False, reason)
     assert peak < 2**20
 
 
