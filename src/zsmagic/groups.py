@@ -368,9 +368,9 @@ def outer_sum(tables) -> list[int]:
     return out
 
 
-def negatives(spec: GroupSpec) -> list[int]:
-    """The index of -g for each element index g."""
-    return outer_sum([-x % f * s for x in range(f)] for f, s in zip(spec.factors, spec.strides))
+def multiples(spec: GroupSpec, k: int) -> list[int]:
+    """The index of k * g for each element index g."""
+    return outer_sum([k * x % f * s for x in range(f)] for f, s in zip(spec.factors, spec.strides))
 
 
 def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:

@@ -16,7 +16,7 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, check_order, coordinates, header_fields, in_class_g, negatives
+from .groups import Element, GroupSpec, check_order, coordinates, header_fields, in_class_g, multiples
 from .groups import parse_group_spec, parse_ints, read_header, read_indices, write_rows
 from .zsp import triple_bijection
 
@@ -108,7 +108,7 @@ def _checked(array):
 
 def _rows_2(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     check_order(spec.order)
-    return (tuple(range(spec.order)), tuple(negatives(spec)))
+    return (tuple(range(spec.order)), tuple(multiples(spec, -1)))
 
 
 def _rows_3(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:

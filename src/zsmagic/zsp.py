@@ -42,7 +42,7 @@ from .groups import (
     format_element,
     header_fields,
     in_class_g,
-    negatives,
+    multiples,
     outer_sum,
     parse_group_spec,
     read_header,
@@ -475,7 +475,7 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
 def _inverse_pairs(spec: GroupSpec) -> list[tuple[int, int]]:
     """Pairs (g, -g) of element indices with g < -g, by ascending g: every
     element outside the involution closure, once."""
-    return [(g, ng) for g, ng in enumerate(negatives(spec)) if g < ng]
+    return [(g, ng) for g, ng in enumerate(multiples(spec, -1)) if g < ng]
 
 
 def _check_admissible(spec: GroupSpec, m: int) -> None:
@@ -582,8 +582,7 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
         tb = triple_bijection(two_spec)
         shrink = pow(m - 2, -1, math.lcm(*two_spec.factors))
         blocks = []
-        for w, p, q in zip(two_spec.elements(), tb.phi, tb.psi):
-            shrunk = two_spec.index_of(two_spec.scale(shrink, w))
+        for p, q, shrunk in zip(tb.phi, tb.psi, multiples(two_spec, shrink)):
             offsets = [p * n_odd, q * n_odd] + [shrunk * n_odd] * (m - 2)
             for block in odd_blocks:
                 blocks.append([merged[t + a] for t, a in zip(offsets, block)])
