@@ -2,9 +2,9 @@
 
 A labeling assigns the elements of an Abelian group bijectively to the
 vertices of a graph of matching order, as element indices; it is magic
-when every vertex's open-neighborhood label sum equals one constant.  The constructors here
-realise the blow-up families; ``verify_labeling`` is the generic check
-and ``obstruction_check`` the two parity obstructions.
+when every vertex's open-neighborhood label sum equals one constant.  The
+constructors here realise the blow-up families; ``verify_labeling`` is the
+generic check and ``obstruction_check`` the two parity obstructions.
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ import math
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import contains, mul
 
 from .errors import GroupSpecError, ParameterError
 from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verify_labeling
@@ -511,11 +512,12 @@ def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     """
     if Counter(len(b) for b in blocks) != Counter(sizes):
         return PartitionCheck(False, None, "block sizes do not match")
+    ranges, strides = [range(f) for f in spec.factors], spec.strides
     outside = []  # the elements that are not reduced elements of the group, as indices -1, -2, ...
 
     def index(e) -> int:
-        if len(e) == spec.arity and all(0 <= x < f for x, f in zip(e, spec.factors)):
-            return spec.index_of(e)
+        if len(e) == len(ranges) and all(map(contains, ranges, e)):
+            return sum(map(mul, e, strides))
         outside.append(e)
         return -len(outside)
 
