@@ -18,8 +18,8 @@ from .groups import (
     DEFAULT_ORDER_BOUND,
     Element,
     GroupSpec,
+    PackedTable,
     check_order,
-    coordinates,
     element_names,
     involution_count,
     outer_sum,
@@ -214,7 +214,7 @@ class Labeling:
         assignment = tuple(self.assignment)
         object.__setattr__(self, "assignment", assignment)
         n = self.spec.order
-        if len(assignment) != n or set(assignment) != set(range(n)):
+        if len(assignment) != n or not set(assignment).issuperset(range(n)):
             raise ParameterError(
                 "labeling must assign every group element to exactly one vertex"
             )
@@ -235,11 +235,12 @@ class Verdict:
 
 
 def weights(g: Graph, labeling: Labeling) -> list[Element]:
-    """Open-neighborhood label sums, one reduced coordinate sum at a time;
-    empty neighborhoods weigh the identity."""
-    spec = labeling.spec
-    coords = [(list(map(col.__getitem__, labeling.assignment)), f) for col, f in zip(coordinates(spec), spec.factors)]
-    return [tuple(sum(map(col.__getitem__, adj)) % f for col, f in coords) for adj in g.adj]
+    """Open-neighborhood label sums, each summed once from a ``PackedTable`` and
+    each distinct sum reduced once; empty neighborhoods weigh the identity."""
+    packed = PackedTable(labeling.spec, max(g.degrees, default=0))
+    labels = list(map(packed.table.__getitem__, labeling.assignment))
+    sums = [sum(map(labels.__getitem__, adj)) for adj in g.adj]
+    return list(map({s: packed.element(s) for s in set(sums)}.__getitem__, sums))
 
 
 def verify_labeling(g: Graph, labeling: Labeling) -> Verdict:
@@ -248,13 +249,9 @@ def verify_labeling(g: Graph, labeling: Labeling) -> Verdict:
         raise ParameterError(
             f"graph order {g.n} does not match group order {labeling.spec.order}"
         )
-    ws = weights(g, labeling)
-    if g.n == 0:
-        return Verdict("magic", mu=labeling.spec.identity())
-    for v in range(1, g.n):
-        if ws[v] != ws[0]:
-            return Verdict("not-magic", witness=(0, v))
-    return Verdict("magic", mu=ws[0])
+    ws = weights(g, labeling) or [labeling.spec.identity()]  # no vertex: the identity is mu
+    v = next((v for v, w in enumerate(ws) if w != ws[0]), None)
+    return Verdict("magic", mu=ws[0]) if v is None else Verdict("not-magic", witness=(0, v))
 
 
 def obstruction_check(g: Graph, spec: GroupSpec) -> Verdict:

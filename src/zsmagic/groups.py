@@ -9,7 +9,7 @@ tie-break in the package refers to that order.
 The four certificate objects (zero-sum partitions, triple bijections,
 Kotzig arrays and labelings) hold element indices in that order.  This
 module alone turns indices into text (``write_rows`` and
-``element_names``) and into coordinates (``coordinates``).
+``element_names``) and into summable integers (``PackedTable``).
 """
 
 from __future__ import annotations
@@ -286,10 +286,33 @@ def write_rows(spec: GroupSpec, header: str, rows) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
-def coordinates(spec: GroupSpec) -> list[list[int]]:
-    """One table per factor: entry ``[t][i]`` is coordinate t of the element with index i."""
-    order = spec.order
-    return [[x for x in range(f) for _ in range(s)] * (order // (f * s)) for f, s in zip(spec.factors, spec.strides)]
+class PackedTable:
+    """Every coordinate of each element in one integer: coordinate t of ``table[i]``
+    sits in a bit field of ``(terms * (f_t - 1)).bit_length()`` bits, the last factor
+    lowest, so a sum of up to ``terms`` entries keeps each raw coordinate sum apart."""
+
+    def __init__(self, spec: GroupSpec, terms: int):
+        widths = [(terms * (f - 1)).bit_length() for f in spec.factors]
+        offsets = [sum(widths[t + 1 :]) for t in range(len(widths))]
+        self.fields = list(zip(offsets, [(1 << w) - 1 for w in widths], spec.factors))
+        self.mask = sum(((f & -f) - 1) << offset for offset, _, f in self.fields)  # low bits of 2-parts
+        self.odd = [(offset, bits, f // (f & -f)) for offset, bits, f in self.fields if f & (f - 1)]
+        self.table = outer_sum([x << offset for x in range(f)] for offset, _, f in self.fields)
+
+    def first_unlike(self, sums, base: int = 0) -> int | None:
+        """The position of the first sum that is another element than the sum ``base`` (by default
+        the identity), or None.  A distinct sum's key is the 2-parts of its fields (one AND) and
+        the odd part of each field (shift, mask, mod): by the Chinese remainder theorem, its element."""
+        distinct = list({base, *sums})
+        streams = [map(self.mask.__and__, distinct)]
+        streams += [map(q.__rmod__, map(bits.__and__, map(o.__rrshift__, distinct))) for o, bits, q in self.odd]
+        keys = dict(zip(distinct, zip(*streams)))
+        if len(set(keys.values())) == 1:
+            return None
+        return next(i for i, s in enumerate(sums) if keys[s] != keys[base])
+
+    def element(self, s: int) -> Element:
+        return tuple((s >> offset & bits) % f for offset, bits, f in self.fields)
 
 
 # -- factorisation and canonical form ----------------------------------------

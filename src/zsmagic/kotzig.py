@@ -2,7 +2,8 @@
 
 A Kotzig array is a j x k grid whose rows are permutations (of a group of
 order k, or of 0..k-1) and whose columns all have the same sum.  A group
-array holds element indices.  Group arrays built here always reach column
+array holds element indices; the verifier sums each column once from a
+``groups.PackedTable``.  Group arrays built here always reach column
 sum identity; the verifier accepts any constant column sum.
 """
 
@@ -16,7 +17,7 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, check_order, coordinates, header_fields, in_class_g, multiples
+from .groups import Element, GroupSpec, PackedTable, check_order, header_fields, in_class_g, multiples
 from .groups import parse_group_spec, parse_ints, read_header, read_indices, write_rows
 from .zsp import triple_bijection
 
@@ -68,34 +69,32 @@ def verify_kotzig(array) -> ArrayCheck:
     Reports the first violating row or column.  Group arrays may have any
     constant column sum; integer column sums are forced to j(k-1)/2 by
     the row sums anyway.  An array without rows is rejected.  Once every
-    row is a permutation, columns are summed one coordinate at a time.
+    row is a permutation, each group column is summed once from a
+    ``PackedTable``.
     """
     if isinstance(array, GroupKotzigArray):
         spec = array.spec
         check_order(spec.order)
-        full = list(range(spec.order))
+        full = set(range(spec.order))
         for r, row in enumerate(array.rows):
-            if sorted(row) != full:
+            if len(row) != spec.order or set(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of the group")
-        sums = list(zip(*(
-            [x % f for x in map(sum, zip(*(map(col.__getitem__, row) for row in array.rows)))]
-            for col, f in zip(coordinates(spec), spec.factors)
-        )))
+        packed = PackedTable(spec, array.j)
+        sums = list(map(sum, zip(*(map(packed.table.__getitem__, row) for row in array.rows))))
+        c, name = packed.first_unlike(sums, sums[0] if sums else 0), packed.element
     elif isinstance(array, IntKotzigArray):
         full = list(range(array.k))
         for r, row in enumerate(array.rows):
             if sorted(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
-        sums = [sum(col) for col in zip(*array.rows)]
+        sums = list(map(sum, zip(*array.rows)))
+        c, name = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None, str
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
     if not array.rows:
         return ArrayCheck(False, reason="the array has no rows")
-    for c in range(1, len(sums)):
-        if sums[c] != sums[0]:
-            return ArrayCheck(
-                False, col=c, reason=f"column {c} sums to {sums[c]}, column 0 to {sums[0]}"
-            )
+    if c is not None:
+        return ArrayCheck(False, col=c, reason=f"column {c} sums to {name(sums[c])}, column 0 to {name(sums[0])}")
     return ArrayCheck(True)
 
 

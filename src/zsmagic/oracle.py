@@ -502,16 +502,21 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
 # -- unequal-size zero-sum partitions (conjecture mode) -----------------------------
 
 
+def _check_sized(spec: GroupSpec, rows, sizes, name=None) -> PartitionCheck:
+    """Block sizes, then ``check_blocks`` on the nonidentity elements, for blocks of element indices."""
+    if Counter(map(len, rows)) != Counter(sizes):
+        return PartitionCheck(False, None, "block sizes do not match")
+    return check_blocks(spec, rows, range(1, spec.order), name)
+
+
 def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     """Check a partition of the nonidentity elements into zero-sum blocks
     with the given multiset of sizes.
 
     Blocks hold elements, as ``sized_partition_from_text`` and the search
     return them; an element that is not a reduced element of the group is
-    outside the universe.  The checks after the sizes are ``check_blocks``.
+    outside the universe.  The checks are those of ``_check_sized``.
     """
-    if Counter(len(b) for b in blocks) != Counter(sizes):
-        return PartitionCheck(False, None, "block sizes do not match")
     ranges, strides = [range(f) for f in spec.factors], spec.strides
     outside = []  # the elements that are not reduced elements of the group, as indices -1, -2, ...
 
@@ -524,8 +529,7 @@ def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
     def name(i: int) -> str:
         return format_element(outside[~i] if i < 0 else spec.element_at(i))
 
-    rows = [[index(e) for e in block] for block in blocks]
-    return check_blocks(spec, rows, range(1, spec.order), name)
+    return _check_sized(spec, [[index(e) for e in block] for block in blocks], sizes, name)
 
 
 def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -557,12 +561,11 @@ def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> Sea
     assigned = [False] * len(elems)
     assigned[0] = True  # the identity is excluded from the universe
     blocks, close, _extend = _block_kernel(add, neg, assigned, Counter(parts), tracker)
-    return _settle(
-        tracker,
-        close,
-        lambda: (spec, tuple(tuple(elems[i] for i in blk) for blk in blocks)),
-        lambda witness: verify_sized_partition(spec, witness[1], parts),
-    )
+    # the kernel's index blocks are checked; the element-tuple witness is built once they pass
+    report = _settle(tracker, close, lambda: blocks, lambda rows: _check_sized(spec, rows, parts))
+    if not report.found:
+        return report
+    return SearchReport(True, True, report.nodes, (spec, tuple(tuple(elems[i] for i in blk) for blk in blocks)))
 
 
 def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):

@@ -17,15 +17,17 @@ None of the builders searches: every route is a closed form or a
 structural recursion on the group.  Every object holds element indices
 (see ``groups``), and so do the constructors, the parsers and the
 verifiers; ``check_blocks`` is the partition check that ``verify_zsp`` and
-``oracle.verify_sized_partition`` share.
+``oracle.verify_sized_partition`` share.  The verifiers sum each block or
+column once, from a ``groups.PackedTable``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, product
+from operator import add
 
 from .errors import (
     DivisibilityError,
@@ -37,8 +39,8 @@ from .errors import (
 from .groups import (
     Element,
     GroupSpec,
+    PackedTable,
     check_order,
-    coordinates,
     format_element,
     header_fields,
     in_class_g,
@@ -118,9 +120,10 @@ def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCh
     is reported.
     """
     blocks = partition.blocks if isinstance(partition, ZeroSumPartition) else tuple(partition)
-    for i, block in enumerate(blocks):
-        if len(block) != m or len(set(block)) != m:
-            return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
+    if (set(map(len, blocks)) | set(map(len, map(set, blocks)))) - {m}:
+        for i, block in enumerate(blocks):
+            if len(block) != m or len(set(block)) != m:
+                return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
     return check_blocks(spec, blocks, range(spec.order) if universe is None else universe)
 
 
@@ -128,48 +131,47 @@ def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> PartitionCheck
     """Check that blocks of element indices lie in ``universe`` (a range or
     a set), repeat no element, cover the universe and each sum to the identity.
 
-    Repeats are found with a set of the indices seen, so the work is that of
-    the blocks, not of the group, until the cover holds; then each block is
-    summed from the coordinate tables.  ``name(i)`` spells an index in a
+    One set of the indices decides repeats, cover and then membership, so the work is that of
+    the blocks until the cover holds; only when that fails does a loop name the faulty block.
+    Then each block is summed once from a ``PackedTable``.  ``name(i)`` spells an index in a
     reason; it defaults to the element's text.
     """
     name = name or (lambda i: format_element(spec.element_at(i)))
-    seen: set[int] = set()
-    for i, block in enumerate(blocks):
-        for e in block:
-            if e not in universe:
-                return PartitionCheck(False, i, f"block {i} contains {name(e)} outside the universe")
-            if e in seen:
-                return PartitionCheck(False, i, f"block {i} repeats {name(e)}")
-            seen.add(e)
+    seen = set(chain.from_iterable(blocks))
+    if len(seen) != len(universe) or len(seen) < sum(map(len, blocks)) or not seen.issubset(universe):
+        seen = set()
+        for i, block in enumerate(blocks):
+            for e in block:
+                if e not in universe:
+                    return PartitionCheck(False, i, f"block {i} contains {name(e)} outside the universe")
+                if e in seen:
+                    return PartitionCheck(False, i, f"block {i} repeats {name(e)}")
+                seen.add(e)
     if len(seen) != len(universe):
         return PartitionCheck(False, None, "blocks do not cover the universe")
-    tables = list(zip(coordinates(spec), spec.factors))
-    first = len(blocks)
-    for col, f in tables:
-        first = next((i for i in range(first) if sum(map(col.__getitem__, blocks[i])) % f), first)
-    if first < len(blocks):
-        total = tuple(sum(map(col.__getitem__, blocks[first])) % f for col, f in tables)
-        return PartitionCheck(False, first, f"block {first} sums to {format_element(total)}")
+    packed = PackedTable(spec, max(map(len, blocks), default=0))
+    sums = list(map(sum, map(partial(map, packed.table.__getitem__), blocks)))
+    first = packed.first_unlike(sums)
+    if first is not None:
+        return PartitionCheck(False, first, f"block {first} sums to {format_element(packed.element(sums[first]))}")
     return PartitionCheck(True)
 
 
 def verify_triple_bijection(tb: TripleBijection) -> BijectionCheck:
-    """Check that phi and psi are permutations with zero column sums,
-    one coordinate at a time; the first failing column is reported."""
+    """Check that phi and psi are permutations with zero column sums; each
+    column is summed once from a ``PackedTable`` and the first failing column
+    is reported."""
     n = tb.spec.order
     for name, perm in (("phi", tb.phi), ("psi", tb.psi)):
-        if len(perm) != n or set(perm) != set(range(n)):
+        if len(perm) != n or not set(perm).issuperset(range(n)):  # n entries covering 0..n-1
             return BijectionCheck(False, None, f"{name} is not a permutation")
-    tables = list(zip(coordinates(tb.spec), tb.spec.factors))
-    phi, psi = tb.phi, tb.psi
-    first = n
-    for col, f in tables:
-        first = next((i for i in range(first) if (col[i] + col[phi[i]] + col[psi[i]]) % f), first)
-    if first < n:
-        total = tuple((col[first] + col[phi[first]] + col[psi[first]]) % f for col, f in tables)
+    packed = PackedTable(tb.spec, 3)
+    table = packed.table
+    sums = list(map(add, map(add, table, map(table.__getitem__, tb.phi)), map(table.__getitem__, tb.psi)))
+    first = packed.first_unlike(sums)
+    if first is not None:
         g = format_element(tb.spec.element_at(first))
-        return BijectionCheck(False, first, f"column at {g} sums to {format_element(total)}")
+        return BijectionCheck(False, first, f"column at {g} sums to {format_element(packed.element(sums[first]))}")
     return BijectionCheck(True)
 
 

@@ -374,8 +374,8 @@ class TestReverification:
                 "verify_labeling", Verdict("not-magic", None, (0, 1)),
                 lambda: search_labeling(cycle_graph(4), GroupSpec((4,))), id="labeling",
             ),
-            pytest.param(
-                "verify_sized_partition", PartitionCheck(False, 0, "rejected"),
+            pytest.param(  # the scan checks its index blocks with the check behind verify_sized_partition
+                "_check_sized", PartitionCheck(False, 0, "rejected"),
                 lambda: conjecture_scan(GroupSpec((2, 2, 3)), (3, 4, 4)), id="sized-partition",
             ),
         ],
