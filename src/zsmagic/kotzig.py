@@ -87,8 +87,8 @@ def verify_kotzig(array) -> ArrayCheck:
         for r, row in enumerate(array.rows):
             if sorted(row) != full:
                 return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
-        sums = list(map(sum, zip(*array.rows)))
-        c, name = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None, str
+        sums, name = list(map(sum, zip(*array.rows))), str
+        c = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
     if not array.rows:
