@@ -120,7 +120,7 @@ def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCh
     is reported.
     """
     blocks = partition.blocks if isinstance(partition, ZeroSumPartition) else tuple(partition)
-    if (set(map(len, blocks)) | set(map(len, map(set, blocks)))) - {m}:
+    if set(map(len, blocks)) - {m} or len(set(chain.from_iterable(blocks))) < m * len(blocks):
         for i, block in enumerate(blocks):
             if len(block) != m or len(set(block)) != m:
                 return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
