@@ -20,7 +20,7 @@ from .groups import (
     GroupSpec,
     PackedTable,
     check_order,
-    element_names,
+    element_texts,
     involution_count,
     outer_sum,
     parse_group_spec,
@@ -409,7 +409,7 @@ def graph_from_text(text: str) -> Graph:
 
 
 def labeling_to_text(labeling: Labeling) -> str:
-    names = list(element_names(labeling.spec))
+    names = element_texts(labeling.spec)
     lines = [f"labeling {labeling.spec}"]
     lines += (f"{v}\t{names[i]}" for v, i in enumerate(labeling.assignment))
     return "\n".join(lines) + "\n"

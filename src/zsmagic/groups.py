@@ -8,8 +8,9 @@ tie-break in the package refers to that order.
 
 The four certificate objects (zero-sum partitions, triple bijections,
 Kotzig arrays and labelings) hold element indices in that order.  This
-module alone turns indices into text (``write_rows`` and
-``element_names``) and into summable integers (``PackedTable``).
+module alone turns indices into text (``write_rows`` and the names list
+``element_texts``, which ``element_names`` inverts for the readers) and
+into summable integers (``PackedTable``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product as _cartesian
+from itertools import chain, product as _cartesian, repeat
 from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
 from .errors import ArityError, GroupSpecError, ParameterError
@@ -235,14 +236,20 @@ def read_header(text: str, what: str, counts: dict) -> tuple[list[str], list[str
     return header, lines[1:]
 
 
-def element_names(spec: GroupSpec) -> dict[str, int]:
-    """``{format_element(e): index}`` for every element, built column by column."""
+def element_texts(spec: GroupSpec) -> list[str]:
+    """``format_element(e)`` for every element, in enumeration order, built column by column."""
     k = spec.arity
     names = ["()" if k == 0 else ""]
     for t, f in enumerate(spec.factors):
         lead, tail = ("", "") if k == 1 else ("," if t else "(", ")" if t == k - 1 else "")
         column = [lead + str(x) + tail for x in range(f)]
         names = [n + c for n in names for c in column]
+    return names
+
+
+def element_names(spec: GroupSpec) -> dict[str, int]:
+    """``{format_element(e): index}`` for every element: :func:`element_texts` inverted."""
+    names = element_texts(spec)
     return dict(zip(names, range(len(names))))
 
 
@@ -281,8 +288,8 @@ def read_indices(spec: GroupSpec, rows):
 def write_rows(spec: GroupSpec, header: str, rows) -> str:
     """A certificate: the header line, then one line of space-separated
     elements of ``spec`` per row of element indices."""
-    names = list(element_names(spec))
-    lines = (" ".join(map(names.__getitem__, row)) for row in rows)
+    names = element_texts(spec)
+    lines = map(" ".join, map(map, repeat(names.__getitem__), rows))
     return "\n".join([header, *lines]) + "\n"
 
 
@@ -397,15 +404,21 @@ def multiples(spec: GroupSpec, k: int) -> list[int]:
 
 
 def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:
-    """The group as (2-part) x (odd part), by the Chinese remainder theorem.
+    """``(two_spec, odd_spec, merged)`` of :func:`two_part_tables`."""
+    two_spec, odd_spec, _, merged = two_part_tables(spec)
+    return two_spec, odd_spec, merged
 
-    Returns ``(two_spec, odd_spec, merged)``.  Each factor f = 2^a * q gives
-    ``two_spec`` its factor 2^a (when a > 0) and ``odd_spec`` the prime
-    powers of q, primes ascending.  ``merged[t * odd_spec.order + o]`` is the
-    index in ``spec`` of the element whose 2-part has index t and whose odd
-    part has index o.  Each factor gets a table of size f, holding the code
-    t * odd_spec.order + o that each residue adds; the codes of the elements
-    are the outer sum of those tables, and ``merged`` inverts them.
+
+def two_part_tables(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int], list[int]]:
+    """The group as (2-part) x (odd part), by the Chinese remainder theorem:
+    ``(two_spec, odd_spec, codes, merged)``.
+
+    Each factor f = 2^a * q gives ``two_spec`` its factor 2^a (when a > 0) and
+    ``odd_spec`` the prime powers of q, primes ascending.  ``codes[g]`` is
+    t * odd_spec.order + o for the element g whose 2-part has index t and whose
+    odd part has index o, and ``merged`` is its inverse.  Each factor gets a
+    table of size f, holding the code that each residue adds; ``codes`` is the
+    outer sum of those tables.
     """
     check_order(spec.order)
     parts = [[p**e for p, e in _factorize(f)] for f in spec.factors]
@@ -424,7 +437,7 @@ def two_part_split(spec: GroupSpec) -> tuple[GroupSpec, GroupSpec, list[int]]:
     merged = [0] * len(codes)
     for g, c in enumerate(codes):
         merged[c] = g
-    return two_spec, odd_spec, merged
+    return two_spec, odd_spec, codes, merged
 
 
 # -- isomorphism class enumeration --------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import add
 
 from .errors import (
@@ -41,6 +41,7 @@ from .groups import (
     GroupSpec,
     PackedTable,
     check_order,
+    element_texts,
     format_element,
     header_fields,
     in_class_g,
@@ -50,6 +51,7 @@ from .groups import (
     read_header,
     read_indices,
     two_part_split,
+    two_part_tables,
     two_torsion_rank,
     write_rows,
 )
@@ -290,19 +292,18 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 # the element with index i.
 
 
-def _sum_codes(spec: GroupSpec, xs, ys, sign: int = 1) -> list[int]:
-    """Indices of sign * (x + y) for the paired element indices x, y, one
-    coordinate column at a time."""
-    out = [0] * len(xs)
-    for f, s in zip(spec.factors, spec.strides):
-        out = [o + sign * (x // s + y // s) % f * s for o, x, y in zip(out, xs, ys)]
-    return out
-
-
 def _tb_from_phi(spec: GroupSpec, phi: list[int]) -> TripleBijection:
     """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced,
-    and this is the one place it is computed."""
-    return TripleBijection(spec, tuple(phi), tuple(_sum_codes(spec, range(spec.order), phi, -1)))
+    and this is the one place it is computed.  Each coordinate adds its digit
+    table to itself gathered through phi and reads each sum v off one table of
+    the codes (-v % f) * s."""
+    psi = []
+    for f, s in zip(spec.factors, spec.strides):
+        digits = list(chain.from_iterable(map(repeat, range(f), repeat(s)))) * (spec.order // (f * s))
+        codes = [-v % f * s for v in range(2 * f)]
+        column = map(codes.__getitem__, map(add, digits, map(digits.__getitem__, phi)))
+        psi = list(map(add, psi, column)) if psi else list(column)
+    return TripleBijection(spec, tuple(phi), tuple(psi or [0]))
 
 
 def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
@@ -310,37 +311,47 @@ def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
     ascending, from ``phi_of_sorted`` of that sorted factor tuple."""
     sigma = sorted(range(spec.arity), key=lambda i: (spec.factors[i], i))
     factors = tuple(spec.factors[i] for i in sigma)
+    sorted_phi = phi_of_sorted(factors)
+    if factors == spec.factors:
+        return list(sorted_phi)
     sorted_stride = dict(zip(sigma, GroupSpec(factors).strides))
     # to_sorted[g] is the index of element g in the sorted presentation; back inverts it
     to_sorted = outer_sum([x * sorted_stride[i] for x in range(f)] for i, f in enumerate(spec.factors))
     back = outer_sum([x * spec.strides[i] for x in range(f)] for i, f in zip(sigma, factors))
-    sorted_phi = phi_of_sorted(factors)
-    return [back[sorted_phi[c]] for c in to_sorted]
+    return list(map(back.__getitem__, map(sorted_phi.__getitem__, to_sorted)))
 
 
-def _subgroup_phi(spec: GroupSpec, mults) -> tuple[list[int], list[int]]:
-    """The indices in ``spec`` of the subgroup H generated by the mults[i] * e_i,
-    and of their images under H's ladder phi."""
-    sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-    embed = outer_sum([x * m * s for x in range(f)] for f, m, s in zip(sub.factors, mults, spec.strides))
-    return embed, [embed[v] for v in _ladder_phi(sub)]
+def _coset(spec: GroupSpec, mults, r: Element) -> list[int]:
+    """The indices of r + b for b in the subgroup H generated by the
+    mults[t] * e_t, in H's enumeration order.  Coordinate t of b is mults[t]
+    times its digit in H, so this is an outer sum of one table per coordinate."""
+    tables = zip(spec.factors, spec.strides, mults, r)
+    return outer_sum([(m * d + x) % f * s for d in range(f // m)] for f, s, m, x in tables)
 
 
-def _lift_triples(spec: GroupSpec, sub, r0: Element, r1: Element, phi: list[int]) -> None:
-    """Fill phi on the cosets r0 + H, r1 + H and -(r0 + r1) + H.
+def _coset_phi(spec: GroupSpec, mults, pairs, phi: list[int]) -> None:
+    """Fill phi on cosets of the subgroup H generated by the mults[t] * e_t.
 
-    ``sub`` holds H and its images under the phi of a triple bijection of H.
-    For each b in H the triple t0 = r0 + b, t1 = r1 + phi0(b), t2 = -(t0 + t1)
-    sums to zero, and t2 runs over the third coset because -b - phi0(b) =
-    psi0(b) runs over H; phi maps each entry to the next one.
+    With phi0, psi0 a triple bijection of H from its ladder, and for each pair
+    (r0, r1) of ``pairs``, the triple t0 = r0 + b, t1 = r1 + phi0(b),
+    t2 = -(r0 + r1) + psi0(b) = -(t0 + t1) sums to zero for each b in H, and
+    each entry runs over its coset as b runs over H; phi maps each entry to
+    the next one.  The pair (0, 0) puts phi0 itself on H.
     """
-    hs, images = sub
-    t0 = _sum_codes(spec, hs, [spec.index_of(r0)] * len(hs))
-    t1 = _sum_codes(spec, images, [spec.index_of(r1)] * len(hs))
-    for a, b, c in zip(t0, t1, _sum_codes(spec, t0, t1, -1)):
-        phi[a] = b
-        phi[b] = c
-        phi[c] = a
+    sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
+    phi0, psi0 = _ladder_phi(sub), None
+    for r0, r1 in pairs:
+        t0, t1 = _coset(spec, mults, r0), _coset(spec, mults, r1)
+        t1 = list(map(t1.__getitem__, phi0))
+        cycle = [(t0, t1)]
+        if any(r0 + r1):
+            psi0 = psi0 or _tb_from_phi(sub, phi0).psi
+            t2 = _coset(spec, mults, spec.neg(spec.add(r0, r1)))
+            t2 = list(map(t2.__getitem__, psi0))
+            cycle += [(t1, t2), (t2, t0)]
+        for keys, values in cycle:
+            for a, b in zip(keys, values):
+                phi[a] = b
 
 
 def _unit(pos: int, value: int = 1) -> Element:
@@ -357,15 +368,10 @@ def _quotient22_phi(spec: GroupSpec) -> list[int]:
     the two halved coordinates; the three nontrivial cosets are matched
     into zero-sum triples {c+b, d+phi0(b), -c-d+psi0(b)}.
     """
-    pa, pb, pc = sorted(range(3), key=lambda i: (spec.factors[i], i))
-    mults = [1, 1, 1]
-    mults[pb] = 2
-    mults[pc] = 2
-    sub = _subgroup_phi(spec, mults)
+    _, pb, pc = sorted(range(3), key=lambda i: (spec.factors[i], i))
+    mults = [2 if i in (pb, pc) else 1 for i in range(3)]
     phi = [0] * spec.order
-    for h, v in zip(*sub):
-        phi[h] = v
-    _lift_triples(spec, sub, _unit(pb), _unit(pc), phi)
+    _coset_phi(spec, mults, [(spec.identity(),) * 2, (_unit(pb), _unit(pc))], phi)
     return phi
 
 
@@ -378,18 +384,10 @@ def _quotient8_phi(spec: GroupSpec) -> list[int]:
     zero-sum element triples that phi rotates in opposite directions.
     """
     pz = max(range(3), key=lambda i: (spec.factors[i], i))
-    mults0 = [1, 1, 1]
-    mults0[pz] = 8
-    mults1 = [1, 1, 1]
-    mults1[pz] = 4
-    sub = _subgroup_phi(spec, mults0)
-    c = _unit(pz, 1)
-    d = _unit(pz, 2)
+    c, d = _unit(pz, 1), _unit(pz, 2)
     phi = [0] * spec.order
-    for h, v in zip(*_subgroup_phi(spec, mults1)):
-        phi[h] = v
-    _lift_triples(spec, sub, c, d, phi)
-    _lift_triples(spec, sub, spec.neg(c), spec.neg(d), phi)
+    _coset_phi(spec, [4 if i == pz else 1 for i in range(3)], [(spec.identity(),) * 2], phi)
+    _coset_phi(spec, [8 if i == pz else 1 for i in range(3)], [(c, d), (spec.neg(c), spec.neg(d))], phi)
     return phi
 
 
@@ -462,12 +460,12 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
             f"{spec} has exactly one involution, so the element sum is that "
             "involution and no triple bijection exists"
         )
-    two_spec, odd_spec, merged = two_part_split(spec)
-    n_odd = odd_spec.order
-    images = chain.from_iterable(merged[p * n_odd : (p + 1) * n_odd] for p in _ladder_phi(two_spec))
-    phi = [0] * spec.order
-    for g, v in zip(merged, images):
-        phi[g] = v
+    two_spec, odd_spec, codes, merged = two_part_tables(spec)
+    # merged in rows of one 2-part index each: phi carries row p onto row ladder[p]
+    rows = list(zip(*[iter(merged)] * odd_spec.order))
+    images = list(chain.from_iterable(map(rows.__getitem__, _ladder_phi(two_spec))))
+    phi = list(map(images.__getitem__, codes))
+    del rows, images, codes, merged  # before psi is built beside phi
     return _tb_from_phi(spec, phi)
 
 
@@ -630,7 +628,9 @@ def partition_from_text(text: str) -> ZeroSumPartition:
 
 
 def bijection_to_text(tb: TripleBijection) -> str:
-    return write_rows(tb.spec, f"bijection {tb.spec}", zip(range(tb.spec.order), tb.phi, tb.psi))
+    names = element_texts(tb.spec)
+    rows = zip(names, map(names.__getitem__, tb.phi), map(names.__getitem__, tb.psi))
+    return "\n".join([f"bijection {tb.spec}", *map(" ".join, rows)]) + "\n"
 
 
 def bijection_from_text(text: str) -> TripleBijection:

@@ -20,7 +20,7 @@ from zsmagic import (
     two_part_split,
     two_torsion_rank,
 )
-from zsmagic.groups import abelian_groups_up_to, element_names, read_indices, write_rows
+from zsmagic.groups import abelian_groups_up_to, element_names, element_texts, read_indices, write_rows
 
 
 class TestSpecGrammar:
@@ -389,6 +389,7 @@ class TestReadElements:
     @settings(max_examples=60)
     def test_element_names(self, spec):
         assert element_names(spec) == {format_element(e): i for i, e in enumerate(spec.elements())}
+        assert element_texts(spec) == [format_element(spec.element_at(i)) for i in range(spec.order)]
 
     def test_unwritten_spellings_still_read(self):
         for spec, rows, expected in [

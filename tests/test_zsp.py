@@ -4,7 +4,8 @@ from itertools import permutations
 
 import pytest
 from conftest import elements, group_specs, images, indices
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zsmagic import (
     DivisibilityError,
@@ -29,7 +30,7 @@ from zsmagic import (
     zsp_odd,
 )
 from zsmagic.groups import abelian_groups_up_to, two_part_split
-from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8
+from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8, _coset, _tb_from_phi
 
 
 class TestSeedTables:
@@ -159,6 +160,51 @@ class TestTripleBijection:
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
             "44500c43a46049461416b96b26208e25fc989df8392f802b390752501ec86002"
         )
+
+
+class TestIndexSums:
+    """The ladder's index arithmetic against ``GroupSpec.add`` and ``neg``, on
+    presentations with unsorted, odd and single factors and on Z1."""
+
+    @given(group_specs(max_order=96, max_factors=4), st.data())
+    @example(GroupSpec(()), None)
+    @example(GroupSpec((6, 2)), None)
+    @example(GroupSpec((9,)), None)
+    @example(GroupSpec((3, 5, 2)), None)
+    @settings(max_examples=60)
+    def test_minus_sum_of_random_index_pairs(self, spec, data):
+        n = spec.order
+        phi = [data.draw(st.integers(0, n - 1)) for _ in range(n)] if data else [(7 * i + 3) % n for i in range(n)]
+        psi = _tb_from_phi(spec, phi).psi
+        for i, j in enumerate(phi):
+            assert psi[i] == spec.index_of(spec.neg(spec.add(spec.element_at(i), spec.element_at(j))))
+
+    @given(group_specs(max_order=96, max_factors=4), st.data())
+    @example(GroupSpec(()), None)
+    @example(GroupSpec((6, 2)), None)
+    @example(GroupSpec((9,)), None)
+    @example(GroupSpec((3, 5, 2)), None)
+    @settings(max_examples=60)
+    def test_coset_is_a_shifted_subgroup(self, spec, data):
+        divisors = [[m for m in range(1, f // 2 + 1) if f % m == 0] for f in spec.factors]
+        if data:
+            mults = [data.draw(st.sampled_from(ms)) for ms in divisors]
+            r = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+        else:
+            mults, r = [ms[-1] for ms in divisors], spec.element_at(spec.order - 1)
+        sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
+        coset = _coset(spec, mults, r)
+        assert len(coset) == sub.order
+        for j, b in enumerate(sub.elements()):
+            assert coset[j] == spec.index_of(spec.add(r, [x * m for x, m in zip(b, mults)]))
+
+    def test_psi_is_minus_g_minus_phi_in_every_factor_order(self):
+        for spec in abelian_groups_up_to(64):
+            for factors in set(permutations(spec.factors)) if in_class_g(spec) else ():
+                s = GroupSpec(factors)
+                tb = triple_bijection(s)
+                for g, (p, q) in enumerate(zip(tb.phi, tb.psi)):
+                    assert q == s.index_of(s.neg(s.add(s.element_at(g), s.element_at(p)))), (factors, g)
 
 
 class TestVerifyZsp:
