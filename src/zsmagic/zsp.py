@@ -292,7 +292,7 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 # the element with index i.
 
 
-def _tb_from_phi(spec: GroupSpec, phi: list[int]) -> TripleBijection:
+def _tb_from_phi(spec: GroupSpec, phi: list[int] | tuple[int, ...]) -> TripleBijection:
     """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced,
     and this is the one place it is computed.  Each coordinate adds its digit
     table to itself gathered through phi and reads each sum v off one table of
@@ -313,7 +313,7 @@ def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
     factors = tuple(spec.factors[i] for i in sigma)
     sorted_phi = phi_of_sorted(factors)
     if factors == spec.factors:
-        return list(sorted_phi)
+        return sorted_phi
     sorted_stride = dict(zip(sigma, GroupSpec(factors).strides))
     # to_sorted[g] is the index of element g in the sorted presentation; back inverts it
     to_sorted = outer_sum([x * sorted_stride[i] for x in range(f)] for i, f in enumerate(spec.factors))
@@ -434,7 +434,7 @@ def _ladder_phi(spec: GroupSpec) -> list[int]:
     if k == 3:
         exps = sorted(f.bit_length() - 1 for f in spec.factors)
         if exps[0] == 1 and exps[1] == 1 and exps[2] <= 3:
-            return _sorted_phi(spec, lambda factors: base_tables()[factors].phi)
+            return _sorted_phi(spec, lambda factors: list(base_tables()[factors].phi))
         if exps[1] >= 2:
             return _quotient22_phi(spec)
         return _quotient8_phi(spec)
@@ -449,11 +449,11 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     2-part times the identity on the odd part is one of the whole group:
     the identity on an odd-order group is one, since g + g + (-2g) = 0 and
     g -> -2g is a bijection there.  So the ladder runs on the 2-part only,
-    and its phi is carried to the group through the split.  Strategy order
-    on the 2-part: componentwise product of two admissible parts, seed
-    tables, the two quotient liftings, the two-factor doubling
-    construction.  Each rung builds phi only, since psi(g) = -g - phi(g) is
-    forced.
+    and its phi is carried to the group through the split by gathers, one
+    odd residue at a time (a 2-group has one).  Strategy order on the
+    2-part: componentwise product of two admissible parts, seed tables, the
+    two quotient liftings, the two-factor doubling construction.  Each rung
+    builds phi only, since psi(g) = -g - phi(g) is forced.
     """
     if not in_class_g(spec):
         raise NonexistenceError(
@@ -461,11 +461,13 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
             "involution and no triple bijection exists"
         )
     two_spec, odd_spec, codes, merged = two_part_tables(spec)
-    # merged in rows of one 2-part index each: phi carries row p onto row ladder[p]
-    rows = list(zip(*[iter(merged)] * odd_spec.order))
-    images = list(chain.from_iterable(map(rows.__getitem__, _ladder_phi(two_spec))))
-    phi = list(map(images.__getitem__, codes))
-    del rows, images, codes, merged  # before psi is built beside phi
+    ladder, n_odd = _ladder_phi(two_spec), odd_spec.order
+    images = [0] * spec.order  # by code: the image of the element merged[code]
+    for o in range(n_odd):  # the elements of odd part o, by 2-part index, go by the ladder
+        column = merged[o::n_odd]
+        images[o::n_odd] = map(column.__getitem__, ladder)
+    phi = tuple(map(images.__getitem__, codes))
+    del column, images, codes, merged  # before psi is built beside phi
     return _tb_from_phi(spec, phi)
 
 
