@@ -1,9 +1,10 @@
 """Kotzig arrays: grids whose rows are permutations and whose columns
 share one sum.
 
-Group arrays over a group of order k exist for j rows whenever j > 1 is
-even, or the group is of odd order or has more than one involution.
-Integer arrays on 0..k-1 exist whenever j > 1 and j(k-1) is even.
+Group arrays over a group of order k exist for j rows whenever j is
+even, or j > 1 and the group is of odd order or has more than one
+involution; a single row has constant columns only when k = 1.  Integer
+arrays on 0..k-1 exist whenever j > 1 and j(k-1) is even, or j = k = 1.
 
 Run:  python demos/04_kotzig_arrays.py
 """

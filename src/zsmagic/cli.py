@@ -10,7 +10,8 @@ Exit codes: 0 success or accepted certificate, 1 rejected certificate or
 scan counterexample, 2 invalid input, 3 proven nonexistence or
 obstruction, 4 search budget exhausted.  ``--json`` switches to a single
 machine-readable document per invocation; identical invocations produce
-byte-identical documents.
+byte-identical documents.  Each verb's handler returns its exit code, its
+document and its text, and ``main`` writes one of the two in one call.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ def _handle_info(args):
         "class_g": in_class_g(spec),
         "sum_all": format_element(sum_all(spec)),
     }
-    text = [
-        f"group: {spec}",
-        f"order: {spec.order}",
-        f"canonical: {doc['canonical']}",
-        f"involutions: {doc['involutions']}",
-        f"in class G: {'yes' if doc['class_g'] else 'no'}",
-        f"sum of all elements: {doc['sum_all']}",
-    ]
+    text = (
+        f"group: {spec}\n"
+        f"order: {spec.order}\n"
+        f"canonical: {doc['canonical']}\n"
+        f"involutions: {doc['involutions']}\n"
+        f"in class G: {'yes' if doc['class_g'] else 'no'}\n"
+        f"sum of all elements: {doc['sum_all']}\n"
+    )
     return EXIT_OK, doc, text
 
 
@@ -79,8 +80,7 @@ def _handle_zsp(args):
         "certificate": cert,
         "verified": True,
     }
-    text = cert.splitlines() + ["# verified: accept"]
-    return EXIT_OK, doc, text
+    return EXIT_OK, doc, cert + "# verified: accept\n"
 
 
 def _handle_bijection(args):
@@ -94,8 +94,7 @@ def _handle_bijection(args):
         "certificate": cert,
         "verified": bool(check.ok),
     }
-    text = cert.splitlines() + [f"# verified: {'accept' if check.ok else 'reject'}"]
-    return EXIT_OK, doc, text
+    return EXIT_OK, doc, cert + f"# verified: {'accept' if check.ok else 'reject'}\n"
 
 
 def _handle_kotzig(args):
@@ -121,8 +120,7 @@ def _handle_kotzig(args):
         "certificate": cert,
         "verified": True,
     }
-    text = cert.splitlines() + [f"# column sum: {column_sum}", "# verified: accept"]
-    return EXIT_OK, doc, text
+    return EXIT_OK, doc, cert + f"# column sum: {column_sum}\n# verified: accept\n"
 
 
 def _handle_label(args):
@@ -148,11 +146,7 @@ def _handle_label(args):
         "magic_constant": format_element(verdict.mu) if verdict.mu is not None else None,
         "certificate": cert,
     }
-    text = cert.splitlines() + [
-        f"# status: {verdict.status}",
-        f"# magic constant: {doc['magic_constant']}",
-    ]
-    return EXIT_OK, doc, text
+    return EXIT_OK, doc, cert + f"# status: {verdict.status}\n# magic constant: {doc['magic_constant']}\n"
 
 
 def _verify_payload(text: str, graph_path: str | None):
@@ -179,8 +173,8 @@ def _handle_verify(args):
         "accepted": ok,
         "reason": reason,
     }
-    lines = [f"{'accept' if ok else 'reject'}: {kind}" + (f" ({reason})" if reason else "")]
-    return (EXIT_OK if ok else EXIT_REJECT), doc, lines
+    text = f"{'accept' if ok else 'reject'}: {kind}" + (f" ({reason})" if reason else "") + "\n"
+    return (EXIT_OK if ok else EXIT_REJECT), doc, text
 
 
 def _report_exit(report) -> int:
@@ -235,7 +229,7 @@ def _handle_search(args):
         "nodes": report.nodes,
         "certificate": cert,
     }
-    return _report_exit(report), doc, cert.splitlines()
+    return _report_exit(report), doc, cert
 
 
 def _handle_scan(args):
@@ -262,14 +256,14 @@ def _handle_scan(args):
         "instances": rows,
         "counterexamples": [r for r in rows if r["exhausted"] and not r["found"]],
     }
-    text = [
+    text = "".join(
         f"# {r['group']} sizes={','.join(str(s) for s in r['sizes'])}: "
-        f"{'found' if r['found'] else 'NOT FOUND'} nodes={r['nodes']}"
+        f"{'found' if r['found'] else 'NOT FOUND'} nodes={r['nodes']}\n"
         for r in rows
-    ]
-    text.append(
+    )
+    text += (
         f"scanned {len(rows)} instances up to order {args.max_order}; "
-        f"counterexamples: {len(doc['counterexamples'])}"
+        f"counterexamples: {len(doc['counterexamples'])}\n"
     )
     return exit_code, doc, text
 
@@ -343,11 +337,8 @@ def main(argv=None) -> int:
         return _emit_error(args, "invalid-input", exc, EXIT_INVALID)
     except OSError as exc:
         return _emit_error(args, "io", exc, EXIT_INVALID)
-    if args.json:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text:
-            print(line)
+    # one write of the whole text: a certificate can run to a million lines
+    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" if args.json else text)
     return code
 
 

@@ -8,9 +8,9 @@ tie-break in the package refers to that order.
 
 The four certificate objects (zero-sum partitions, triple bijections,
 Kotzig arrays and labelings) hold element indices in that order.  This
-module alone turns indices into text (``write_rows`` and the names list
-``element_texts``, which ``element_names`` inverts for the readers) and
-into summable integers (``PackedTable``).
+module alone turns indices into text (``write_rows``, through a names list
+such as ``element_texts``, which ``element_names`` inverts for the readers)
+and into summable integers (``PackedTable``).
 """
 
 from __future__ import annotations
@@ -285,10 +285,10 @@ def read_indices(spec: GroupSpec, rows):
         yield indices
 
 
-def write_rows(spec: GroupSpec, header: str, rows) -> str:
-    """A certificate: the header line, then one line of space-separated
-    elements of ``spec`` per row of element indices."""
-    names = element_texts(spec)
+def write_rows(names: list[str], header: str, rows) -> str:
+    """A certificate: the header line, then one line per row of indices, each
+    index i written as ``names[i]``, space-separated: :func:`element_texts` for
+    the elements of a group, the decimal numerals for integer arrays."""
     lines = map(" ".join, map(map, repeat(names.__getitem__), rows))
     return "\n".join([header, *lines]) + "\n"
 
@@ -366,12 +366,16 @@ def involution_count(spec: GroupSpec) -> int:
     return 2 ** two_torsion_rank(spec) - 1
 
 
+def involution_closure(spec: GroupSpec) -> list[int]:
+    """The indices of the identity and the involutions (every g with 2g = 0),
+    ascending: each even factor contributes 0 or (f/2)·stride, and each such
+    term exceeds the sum of all later ones, so the outer sum is sorted."""
+    return outer_sum([0, f // 2 * s] for f, s in zip(spec.factors, spec.strides) if f % 2 == 0)
+
+
 def involutions(spec: GroupSpec) -> tuple[Element, ...]:
     """All elements of order exactly 2, in enumeration order; 2^rank - 1 of them."""
-    choices = []
-    for f in spec.factors:
-        choices.append((0, f // 2) if f % 2 == 0 else (0,))
-    return tuple(e for e in _cartesian(*choices) if any(e))
+    return tuple(map(spec.element_at, involution_closure(spec)[1:]))
 
 
 def sum_all(spec: GroupSpec) -> Element:

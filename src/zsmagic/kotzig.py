@@ -18,7 +18,7 @@ from .errors import (
     ParameterError,
 )
 from .groups import Element, GroupSpec, PackedTable, check_order, header_fields, in_class_g, multiples
-from .groups import parse_group_spec, parse_ints, read_header, read_indices, write_rows
+from .groups import element_texts, parse_group_spec, parse_ints, read_header, read_indices, write_rows
 from .zsp import triple_bijection
 
 
@@ -117,8 +117,9 @@ def _rows_3(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
-    """j x k group Kotzig array; exists when j > 1 and j is even or the
-    group is of odd order or has more than one involution.
+    """j x k group Kotzig array; exists when j is even, or j > 1 and the
+    group is of odd order or has more than one involution, or the group
+    is trivial (its 1 x 1 array is the identity).
 
     Even j stacks copies of the 2 x k array; odd j uses one 3 x k array
     plus 2 x k fillers.  For odd j and a single-involution group the total
@@ -128,9 +129,9 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
     if j < 1:
         raise ParameterError(f"row count must be positive, got {j}")
     if j == 1:
-        raise ImpossibilityError(
-            "a 1 x k array has constant column sums only for the trivial group"
-        )
+        if spec.order > 1:
+            raise ImpossibilityError("a 1 x k array has constant column sums only for the trivial group")
+        return _checked(GroupKotzigArray(spec, ((0,),)))
     if j % 2 == 0:
         return _checked(GroupKotzigArray(spec, _rows_2(spec) * (j // 2)))
     if not in_class_g(spec):
@@ -155,7 +156,8 @@ def _int_base_3xk(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
-    """j x k integer Kotzig array; exists when j > 1 and j(k-1) is even.
+    """j x k integer Kotzig array; exists when j > 1 and j(k-1) is even,
+    or j = k = 1 (the 1 x 1 array 0).
 
     Even j stacks (identity row, reversed row) pairs; odd j (so k odd)
     adds one closed-form 3 x k block.
@@ -164,7 +166,9 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
         raise ParameterError(f"grid dimensions must be positive, got {j} x {k}")
     check_order(k, "column count")
     if j == 1:
-        raise ImpossibilityError("a 1 x k array has constant column sums only for k = 1")
+        if k > 1:
+            raise ImpossibilityError("a 1 x k array has constant column sums only for k = 1")
+        return _checked(IntKotzigArray(1, ((0,),)))
     if (j * (k - 1)) % 2 != 0:
         raise NonexistenceError(
             f"no {j} x {k} array exists: the column sum j(k-1)/2 = "
@@ -184,10 +188,8 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
 
 def array_to_text(array) -> str:
     if isinstance(array, GroupKotzigArray):
-        return write_rows(array.spec, f"kotzig {array.spec} j={array.j} k={array.k}", array.rows)
-    lines = [f"kotzig-int k={array.k} j={array.j}"]
-    lines += (" ".join(map(str, row)) for row in array.rows)
-    return "\n".join(lines) + "\n"
+        return write_rows(element_texts(array.spec), f"kotzig {array.spec} j={array.j} k={array.k}", array.rows)
+    return write_rows([str(v) for v in range(array.k)], f"kotzig-int k={array.k} j={array.j}", array.rows)
 
 
 def array_from_text(text: str):

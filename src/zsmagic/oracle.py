@@ -61,6 +61,7 @@ from .groups import (
     _partitions,
     abelian_groups_up_to,
     certificate_lines,
+    element_texts,
     format_element,
     header_fields,
     involution_count,
@@ -597,7 +598,7 @@ def scan_conjecture(max_order: int, budget: int = DEFAULT_BUDGET):
 def sized_partition_to_text(spec: GroupSpec, blocks) -> str:
     sizes = ",".join(str(len(b)) for b in blocks)
     rows = ([spec.index_of(e) for e in block] for block in blocks)
-    return write_rows(spec, f"partition-sizes {spec} sizes={sizes}", rows)
+    return write_rows(element_texts(spec), f"partition-sizes {spec} sizes={sizes}", rows)
 
 
 def sized_partition_from_text(text: str):

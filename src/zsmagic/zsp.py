@@ -3,7 +3,8 @@
 Three builders live here, each paired with an independent verifier:
 
 * ``involution_quadruples`` partitions the involutions-plus-identity
-  subgroup into zero-sum quadruples by a doubling recursion.
+  subgroup into zero-sum quadruples: ``groups.involution_closure`` cut
+  into runs of four.
 * ``triple_bijection`` produces permutations ``phi``, ``psi`` of the group
   with ``g + phi(g) + psi(g) = 0`` for every ``g``: the identity on the
   odd part times a ladder on the 2-part of closed forms, fixed seed
@@ -11,7 +12,10 @@ Three builders live here, each paired with an independent verifier:
   liftings and a doubling construction for two cyclic factors.
 * ``zsp`` partitions the whole group into equal-size zero-sum blocks;
   it exists exactly when the order is odd, or the block size is at
-  least 3 and the group has more than one involution.
+  least 3 and the group has more than one involution.  Even block sizes
+  slice one stream of the involution closure and the inverse pairs; odd
+  ones zip columns of outer sums, lifted through the 2-part split by
+  one gather per block position.
 
 None of the builders searches: every route is a closed form or a
 structural recursion on the group.  Every object holds element indices
@@ -45,6 +49,7 @@ from .groups import (
     format_element,
     header_fields,
     in_class_g,
+    involution_closure,
     multiples,
     outer_sum,
     parse_group_spec,
@@ -76,8 +81,8 @@ class ZeroSumPartition:
     identity; each block is sorted, and so is the block list.
 
     Blocks normally cover the whole group; ``involution_quadruples`` returns
-    a partition of the involution closure only (pass the set of its indices
-    as the ``universe`` when verifying).
+    a partition of the involution closure only (pass
+    ``set(involution_closure(spec))`` as the ``universe`` when verifying).
     """
 
     spec: GroupSpec
@@ -183,27 +188,18 @@ def verify_triple_bijection(tb: TripleBijection) -> BijectionCheck:
 def involution_quadruples(spec: GroupSpec) -> ZeroSumPartition:
     """Partition involutions plus identity into zero-sum quadruples.
 
-    Requires at least two involutions (2-torsion rank >= 2).  The rank-2
-    base block is the full order-4 subgroup; higher ranks double the
-    previous partition along one more independent involution.
+    Requires at least two involutions (2-torsion rank >= 2).  The
+    involution closure, ascending, cut into runs of four: with a, b the
+    last two basis involutions, each run is x, x + b, x + a, x + a + b,
+    which sums to 4x + 2a + 2b = 0 and is already sorted.
     """
+    check_order(spec.order)
     rank = two_torsion_rank(spec)
     if rank < 2:
         raise ParameterError(
             f"group {spec} has {2 ** rank - 1} involution(s); need at least 2"
         )
-    # the involution with f/2 at one even factor, as an index; sums of distinct ones carry nothing
-    basis = [f // 2 * s for f, s in zip(spec.factors, spec.strides) if f % 2 == 0]
-
-    def doubled_blocks(gens: list[int]) -> list[tuple[int, ...]]:
-        if len(gens) == 2:
-            a, b = gens
-            return [(0, a, b, a + b)]
-        sub = doubled_blocks(gens[1:])
-        top = gens[0]
-        return sub + [tuple(top + e for e in blk) for blk in sub]
-
-    return ZeroSumPartition._sorted(spec, 4, doubled_blocks(basis))
+    return ZeroSumPartition(spec, 4, tuple(zip(*[iter(involution_closure(spec))] * 4)))
 
 
 # -- triple bijections: seed tables ---------------------------------------------
@@ -474,12 +470,6 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
 # -- equal-size zero-sum partitions ---------------------------------------------
 
 
-def _inverse_pairs(spec: GroupSpec) -> list[tuple[int, int]]:
-    """Pairs (g, -g) of element indices with g < -g, by ascending g: every
-    element outside the involution closure, once."""
-    return [(g, ng) for g, ng in enumerate(multiples(spec, -1)) if g < ng]
-
-
 def _check_admissible(spec: GroupSpec, m: int) -> None:
     check_order(spec.order)
     if spec.order % m != 0:
@@ -501,35 +491,26 @@ def _checked(partition: ZeroSumPartition) -> ZeroSumPartition:
 def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     """Partition into blocks of even size ``m2 >= 4``.
 
-    Blocks are assembled greedily, in enumeration order, from the
-    involution quadruples and the inverse pairs of the remaining
-    elements; a block size of 2 mod 4 forces one reserved pair per block.
-    The result is verified before being returned.
+    One stream holds the involution closure (its runs of four are the
+    involution quadruples), then the inverse pairs g, -g with g < -g by
+    ascending g.  A block size of 2 mod 4 reserves one of those pairs per
+    block, the first t = n/m2 of them; each block then takes the next
+    m2 - 2 (else m2) entries of the stream.  That width is 0 mod 4 and the
+    closure has 2^r >= 4 entries, so this is the greedy fill of whole
+    quadruples, then pairs, in enumeration order.  The result is verified
+    before being returned.
     """
     if m2 % 2 != 0 or m2 < 4:
         raise ParameterError(f"block size must be even and >= 4, got {m2}")
     _check_admissible(spec, m2)
-    quads = involution_quadruples(spec).blocks
-    pairs = _inverse_pairs(spec)
+    pairs = [(g, ng) for g, ng in enumerate(multiples(spec, -1)) if g < ng]
     t = spec.order // m2
     # m2 = 2 mod 4 and m2 >= 6 give the order n an odd factor >= 3, so the 2^r elements of
     # order <= 2 are at most n/3 and leave (n - 2^r)/2 >= n/3 >= t pairs to seed the blocks
     seeded = m2 % 4 == 2
     seeds, rest = (pairs[:t], pairs[t:]) if seeded else ([()] * t, pairs)
-    blocks: list[list[int]] = []
-    qi = pi = 0
-    for seed in seeds:
-        block = list(seed)
-        cap = m2 - len(block)
-        while cap >= 4 and qi < len(quads):
-            block.extend(quads[qi])
-            qi += 1
-            cap -= 4
-        while cap >= 2:
-            block.extend(rest[pi])
-            pi += 1
-            cap -= 2
-        blocks.append(block)
+    stream = iter(involution_closure(spec) + list(chain.from_iterable(rest)))
+    blocks = map(add, seeds, zip(*[stream] * (m2 - 2 * seeded)))
     return _checked(ZeroSumPartition._sorted(spec, m2, blocks))
 
 
@@ -543,9 +524,11 @@ def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
     makes the representatives a_r sum to the identity.  Every h in H gives
     the block {a_r + c_r h} with c = (1, 1, -2, 1, -1, ..., 1, -1): the c_r
     sum to 0 and are units on H, so each block sums to the identity and
-    the r-th entries run once over the coset a_r + H.
+    the r-th entries run once over the coset a_r + H.  Entry r of every
+    block is one outer sum of a table per coordinate of H, and the blocks
+    are those m columns zipped.
     """
-    factors, strides = spec.factors, spec.strides
+    factors = spec.factors
     steps = []
     left = m
     for f in factors:
@@ -555,11 +538,13 @@ def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
     # coordinate i of the box sums to (m / d) * d(d - 1) / 2
     reps[0] = tuple(-(m * (d - 1) // 2) % f for d, f in zip(steps, factors))
     coeffs = (1, 1, -2) + (1, -1) * ((m - 3) // 2)
-    blocks = [
-        [sum((a + c * x) % f * s for a, x, f, s in zip(rep, h, factors, strides)) for rep, c in zip(reps, coeffs)]
-        for h in product(*(range(0, f, d) for f, d in zip(factors, steps)))
+    # coordinate i of H runs over the multiples of d_i
+    h_tables = [(range(0, f, d), f, s) for f, d, s in zip(factors, steps, spec.strides)]
+    columns = [
+        outer_sum([(a + c * x) % f * s for x in xs] for a, (xs, f, s) in zip(rep, h_tables))
+        for rep, c in zip(reps, coeffs)
     ]
-    return ZeroSumPartition._sorted(spec, m, blocks)
+    return ZeroSumPartition._sorted(spec, m, zip(*columns))
 
 
 def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
@@ -580,15 +565,15 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
     else:
         two_spec, odd_spec, merged = two_part_split(spec)
         n_odd = odd_spec.order
-        odd_blocks = _odd_base_partition(odd_spec, m).blocks
         tb = triple_bijection(two_spec)
-        shrink = pow(m - 2, -1, math.lcm(*two_spec.factors))
-        blocks = []
-        for p, q, shrunk in zip(tb.phi, tb.psi, multiples(two_spec, shrink)):
-            offsets = [p * n_odd, q * n_odd] + [shrunk * n_odd] * (m - 2)
-            for block in odd_blocks:
-                blocks.append([merged[t + a] for t, a in zip(offsets, block)])
-        partition = ZeroSumPartition._sorted(spec, m, blocks)
+        shrunk = multiples(two_spec, pow(m - 2, -1, math.lcm(*two_spec.factors)))
+        firsts = [tb.phi, tb.psi] + [shrunk] * (m - 2)
+        # entry r by split code t * n_odd + o: t is phi(w), psi(w) or the shrunk w, o entry r of an odd block
+        columns = [
+            map(merged.__getitem__, outer_sum([list(map(n_odd.__mul__, first)), odd_column]))
+            for first, odd_column in zip(firsts, zip(*_odd_base_partition(odd_spec, m).blocks))
+        ]
+        partition = ZeroSumPartition._sorted(spec, m, zip(*columns))
     return _checked(partition)
 
 
@@ -616,7 +601,8 @@ def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:
 
 
 def partition_to_text(partition: ZeroSumPartition) -> str:
-    return write_rows(partition.spec, f"partition {partition.spec} m={partition.m}", partition.blocks)
+    spec = partition.spec
+    return write_rows(element_texts(spec), f"partition {spec} m={partition.m}", partition.blocks)
 
 
 def partition_from_text(text: str) -> ZeroSumPartition:

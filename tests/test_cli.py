@@ -106,6 +106,21 @@ class TestKotzigAndBijection:
     def test_kotzig_nonexistent(self, capsys):
         assert run(capsys, "kotzig", "Z4", "3")[0] == EXIT_NONEXISTENT
         assert run(capsys, "kotzig", "4", "3", "--int")[0] == EXIT_NONEXISTENT
+        assert run(capsys, "kotzig", "Z2", "1")[0] == EXIT_NONEXISTENT
+        assert run(capsys, "kotzig", "2", "1", "--int")[0] == EXIT_NONEXISTENT
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [(("kotzig", "Z1", "1"), "kotzig"), (("kotzig", "1", "1", "--int"), "kotzig-int")],
+        ids=["group", "int"],
+    )
+    def test_single_cell_array_roundtrip(self, capsys, tmp_path, argv, kind):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.endswith("# verified: accept\n")
+        cert = tmp_path / "a.cert"
+        cert.write_text(out)
+        assert run(capsys, "verify", str(cert))[:2] == (EXIT_OK, f"accept: {kind}\n")
 
 
 class TestLabel:

@@ -20,7 +20,14 @@ from zsmagic import (
     two_part_split,
     two_torsion_rank,
 )
-from zsmagic.groups import abelian_groups_up_to, element_names, element_texts, read_indices, write_rows
+from zsmagic.groups import (
+    abelian_groups_up_to,
+    element_names,
+    element_texts,
+    involution_closure,
+    read_indices,
+    write_rows,
+)
 
 
 class TestSpecGrammar:
@@ -193,6 +200,20 @@ class TestInvolutions:
             assert e != spec.identity()
 
 
+class TestInvolutionClosure:
+    @given(group_specs(max_order=256, max_factors=5))
+    @example(GroupSpec(()))
+    @example(GroupSpec((9,)))
+    @example(GroupSpec((3, 5, 7)))
+    @settings(max_examples=60)
+    def test_indices_of_the_elements_of_order_at_most_two(self, spec):
+        closure = involution_closure(spec)
+        identity = spec.identity()
+        assert closure == [i for i in range(spec.order) if spec.scale(2, spec.element_at(i)) == identity]
+        for run in zip(*[iter(closure)] * 4):
+            assert spec.sum(map(spec.element_at, run)) == identity
+
+
 class TestSumAll:
     def test_z4(self):
         assert sum_all(GroupSpec((4,))) == (2,)
@@ -344,7 +365,7 @@ class TestReadElements:
     @settings(max_examples=60)
     def test_rows_roundtrip(self, spec, data):
         rows = data.draw(st.lists(st.lists(elements_of(spec), max_size=4), max_size=4))
-        text = write_rows(spec, "header", [list(map(spec.index_of, r)) for r in rows])
+        text = write_rows(element_texts(spec), "header", [list(map(spec.index_of, r)) for r in rows])
         read = read_indices(spec, [ln.split() for ln in text.splitlines()[1:]])
         assert list(elements(spec, read)) == [tuple(r) for r in rows]
 

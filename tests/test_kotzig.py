@@ -70,6 +70,11 @@ class TestGroupBuilders:
         with pytest.raises(ImpossibilityError):
             build_group_kotzig(GroupSpec((4,)), 1)
 
+    def test_single_row_trivial_group(self):
+        array = build_group_kotzig(GroupSpec(()), 1)
+        assert array.rows == ((0,),)
+        assert verify_kotzig(array).ok
+
     def test_full_parameter_range(self):
         for spec in abelian_groups_up_to(16):
             for j in range(2, 7):
@@ -98,6 +103,11 @@ class TestIntBuilders:
     def test_single_row_impossible(self):
         with pytest.raises(ImpossibilityError):
             build_int_kotzig(1, 5)
+
+    def test_single_cell(self):
+        array = build_int_kotzig(1, 1)
+        assert array.rows == ((0,),)
+        assert verify_kotzig(array).ok
 
     def test_column_sum_formula(self):
         for j in range(2, 6):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from functools import partial
 
 import pytest
 from conftest import elements
@@ -11,6 +12,8 @@ from zsmagic import (
     NonexistenceError,
     ParameterError,
     ZsmagicError,
+    build_group_kotzig,
+    build_int_kotzig,
     complete_bipartite_graph,
     complete_graph,
     conjecture_scan,
@@ -25,6 +28,7 @@ from zsmagic import (
     search_labeling,
     search_triple_bijection,
     search_zsp,
+    triple_bijection,
     verify_kotzig,
     verify_labeling,
     verify_sized_partition,
@@ -346,6 +350,39 @@ class TestAgreement:
             assert not search_zsp(spec, 2).found
             with pytest.raises(ImpossibilityError):
                 zsp(spec, 2)
+
+    def test_constructors_refuse_exactly_what_the_oracles_rule_out(self):
+        """Over every group to order 16 and every parameter the constructor
+        accepts within the search caps (block sizes m >= 2 dividing the
+        order, any j and k >= 1), a constructor raises NonexistenceError
+        exactly when its oracle reports found=false, exhausted=true."""
+
+        def rows():
+            for spec in abelian_groups_up_to(16, min_order=1):
+                for m in range(2, spec.order + 1):
+                    if spec.order % m == 0:
+                        yield f"zsp {spec} {m}", partial(zsp, spec, m), partial(search_zsp, spec, m)
+                yield f"bijection {spec}", partial(triple_bijection, spec), partial(search_triple_bijection, spec)
+                for j in range(1, KOTZIG_CELL_CAP // spec.order + 1):
+                    yield f"kotzig {spec} {j}", partial(build_group_kotzig, spec, j), partial(search_kotzig, spec, j)
+            for k in range(1, KOTZIG_CELL_CAP + 1):
+                for j in range(1, KOTZIG_CELL_CAP // k + 1):
+                    yield f"kotzig {k} {j} --int", partial(build_int_kotzig, j, k), partial(search_kotzig, k, j)
+
+        def refuses(build):
+            try:
+                build()
+            except NonexistenceError:
+                return True
+            return False
+
+        wrong = []
+        for name, build, search in rows():
+            report = search()
+            assert report.exhausted, name
+            if refuses(build) == report.found:
+                wrong.append(name)
+        assert wrong == []
 
 
 class TestReverification:

@@ -370,8 +370,9 @@ class TestZspDispatcher:
         lambda: triple_bijection(GroupSpec((2, 2, 2305843009213693951))),
         lambda: two_part_split(GroupSpec((2, 2, 2305843009213693951))),
         lambda: build_int_kotzig(2, 200000000),
+        lambda: involution_quadruples(GroupSpec((2,) * 22)),
     ],
-    ids=["zsp-odd-order", "zsp-odd", "bijection", "split", "int-kotzig"],
+    ids=["zsp-odd-order", "zsp-odd", "bijection", "split", "int-kotzig", "quadruples"],
 )
 def test_orders_above_the_bound_are_refused_before_any_work(build):
     # refused before factoring the huge prime factor or building anything of that size
