@@ -322,6 +322,29 @@ class PackedTable:
         return tuple((s >> offset & bits) % f for offset, bits, f in self.fields)
 
 
+@dataclass(frozen=True)
+class Check:
+    """A verifier's verdict.  Certificates are grids: a rejection names the
+    failing ``row`` (a partition's block, a Kotzig array's row), ``col`` (a
+    triple bijection's element, a Kotzig array's column) or neither."""
+
+    ok: bool
+    row: int | None = None
+    col: int | None = None
+    reason: str | None = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def checked(artifact, check: Check):
+    """``artifact`` if its verifier accepted it; a constructor's output that
+    fails its own check is a bug, not a rejection."""
+    if not check.ok:
+        raise AssertionError(f"internal: built certificate failed verification: {check.reason}")
+    return artifact
+
+
 # -- factorisation and canonical form ----------------------------------------
 
 

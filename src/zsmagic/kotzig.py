@@ -17,8 +17,8 @@ from .errors import (
     NonexistenceError,
     ParameterError,
 )
-from .groups import Element, GroupSpec, PackedTable, check_order, header_fields, in_class_g, multiples
-from .groups import element_texts, parse_group_spec, parse_ints, read_header, read_indices, write_rows
+from .groups import Check, Element, GroupSpec, PackedTable, check_order, checked, header_fields, in_class_g
+from .groups import element_texts, multiples, parse_group_spec, parse_ints, read_header, read_indices, write_rows
 from .zsp import triple_bijection
 
 
@@ -52,18 +52,7 @@ class IntKotzigArray:
         return sum(row[0] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ArrayCheck:
-    ok: bool
-    row: int | None = None
-    col: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_kotzig(array) -> ArrayCheck:
+def verify_kotzig(array) -> Check:
     """Check the row-permutation and constant-column-sum properties.
 
     Reports the first violating row or column.  Group arrays may have any
@@ -78,7 +67,7 @@ def verify_kotzig(array) -> ArrayCheck:
         full = set(range(spec.order))
         for r, row in enumerate(array.rows):
             if len(row) != spec.order or set(row) != full:
-                return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of the group")
+                return Check(False, row=r, reason=f"row {r} is not a permutation of the group")
         packed = PackedTable(spec, array.j)
         sums = list(map(sum, zip(*(map(packed.table.__getitem__, row) for row in array.rows))))
         c, name = packed.first_unlike(sums, sums[0] if sums else 0), packed.element
@@ -87,23 +76,16 @@ def verify_kotzig(array) -> ArrayCheck:
         reverse = identity[::-1]
         for r, row in enumerate(array.rows):
             if row != identity and row != reverse and not (len(row) == array.k and set(row).issuperset(identity)):
-                return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
+                return Check(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
         sums, name = list(map(sum, zip(*array.rows))), str
         c = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
     if not array.rows:
-        return ArrayCheck(False, reason="the array has no rows")
+        return Check(False, reason="the array has no rows")
     if c is not None:
-        return ArrayCheck(False, col=c, reason=f"column {c} sums to {name(sums[c])}, column 0 to {name(sums[0])}")
-    return ArrayCheck(True)
-
-
-def _checked(array):
-    check = verify_kotzig(array)
-    if not check.ok:
-        raise AssertionError(f"internal: built array failed verification: {check.reason}")
-    return array
+        return Check(False, col=c, reason=f"column {c} sums to {name(sums[c])}, column 0 to {name(sums[0])}")
+    return Check(True)
 
 
 def _rows_2(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
@@ -131,16 +113,18 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
     if j == 1:
         if spec.order > 1:
             raise ImpossibilityError("a 1 x k array has constant column sums only for the trivial group")
-        return _checked(GroupKotzigArray(spec, ((0,),)))
-    if j % 2 == 0:
-        return _checked(GroupKotzigArray(spec, _rows_2(spec) * (j // 2)))
-    if not in_class_g(spec):
+        rows = ((0,),)
+    elif j % 2 == 0:
+        rows = _rows_2(spec) * (j // 2)
+    elif not in_class_g(spec):
         raise NonexistenceError(
             f"{spec} has exactly one involution: an odd row count would make "
             "the grid total equal that involution, not the identity"
         )
-    rows = _rows_3(spec) + (_rows_2(spec) * ((j - 3) // 2) if j > 3 else ())
-    return _checked(GroupKotzigArray(spec, rows))
+    else:
+        rows = _rows_3(spec) + (_rows_2(spec) * ((j - 3) // 2) if j > 3 else ())
+    array = GroupKotzigArray(spec, rows)
+    return checked(array, verify_kotzig(array))
 
 
 def _int_base_3xk(k: int) -> tuple[tuple[int, ...], ...]:
@@ -168,19 +152,17 @@ def build_int_kotzig(j: int, k: int) -> IntKotzigArray:
     if j == 1:
         if k > 1:
             raise ImpossibilityError("a 1 x k array has constant column sums only for k = 1")
-        return _checked(IntKotzigArray(1, ((0,),)))
-    if (j * (k - 1)) % 2 != 0:
+        rows = ((0,),)
+    elif (j * (k - 1)) % 2 != 0:
         raise NonexistenceError(
             f"no {j} x {k} array exists: the column sum j(k-1)/2 = "
             f"{j * (k - 1) / 2} is not an integer"
         )
-    identity = tuple(range(k))
-    reverse = tuple(k - 1 - c for c in range(k))
-    if j % 2 == 0:
-        rows = (identity, reverse) * (j // 2)
     else:
-        rows = _int_base_3xk(k) + (identity, reverse) * ((j - 3) // 2)
-    return _checked(IntKotzigArray(k, rows))
+        pair = (tuple(range(k)), tuple(k - 1 - c for c in range(k)))
+        rows = pair * (j // 2) if j % 2 == 0 else _int_base_3xk(k) + pair * ((j - 3) // 2)
+    array = IntKotzigArray(k, rows)
+    return checked(array, verify_kotzig(array))
 
 
 # -- certificates ----------------------------------------------------------------

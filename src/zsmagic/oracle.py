@@ -57,6 +57,7 @@ from operator import contains, mul
 from .errors import GroupSpecError, ParameterError
 from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verify_labeling
 from .groups import (
+    Check,
     GroupSpec,
     _partitions,
     abelian_groups_up_to,
@@ -79,7 +80,6 @@ from .kotzig import (
     verify_kotzig,
 )
 from .zsp import (
-    PartitionCheck,
     TripleBijection,
     ZeroSumPartition,
     bijection_from_text,
@@ -503,14 +503,14 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
 # -- unequal-size zero-sum partitions (conjecture mode) -----------------------------
 
 
-def _check_sized(spec: GroupSpec, rows, sizes, name=None) -> PartitionCheck:
+def _check_sized(spec: GroupSpec, rows, sizes, name=None) -> Check:
     """Block sizes, then ``check_blocks`` on the nonidentity elements, for blocks of element indices."""
     if Counter(map(len, rows)) != Counter(sizes):
-        return PartitionCheck(False, None, "block sizes do not match")
+        return Check(False, reason="block sizes do not match")
     return check_blocks(spec, rows, range(1, spec.order), name)
 
 
-def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> PartitionCheck:
+def verify_sized_partition(spec: GroupSpec, blocks, sizes) -> Check:
     """Check a partition of the nonidentity elements into zero-sum blocks
     with the given multiset of sizes.
 

@@ -41,10 +41,12 @@ from .errors import (
     ParameterError,
 )
 from .groups import (
+    Check,
     Element,
     GroupSpec,
     PackedTable,
     check_order,
+    checked,
     element_texts,
     format_element,
     header_fields,
@@ -95,30 +97,10 @@ class ZeroSumPartition:
         return cls(spec, m, tuple(sorted(tuple(sorted(block)) for block in blocks)))
 
 
-@dataclass(frozen=True)
-class PartitionCheck:
-    ok: bool
-    block_index: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True)
-class BijectionCheck:
-    ok: bool
-    index: int | None = None
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 # -- verifiers ----------------------------------------------------------------
 
 
-def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCheck:
+def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> Check:
     """Check block sizes, then the checks of ``check_blocks``.
 
     ``partition`` is a ``ZeroSumPartition`` or blocks of element indices;
@@ -130,11 +112,11 @@ def verify_zsp(spec: GroupSpec, partition, m: int, universe=None) -> PartitionCh
     if set(map(len, blocks)) - {m} or len(set(chain.from_iterable(blocks))) < m * len(blocks):
         for i, block in enumerate(blocks):
             if len(block) != m or len(set(block)) != m:
-                return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
+                return Check(False, row=i, reason=f"block {i} does not have {m} distinct elements")
     return check_blocks(spec, blocks, range(spec.order) if universe is None else universe)
 
 
-def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> PartitionCheck:
+def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> Check:
     """Check that blocks of element indices lie in ``universe`` (a range or
     a set), repeat no element, cover the universe and each sum to the identity.
 
@@ -150,36 +132,36 @@ def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> PartitionCheck
         for i, block in enumerate(blocks):
             for e in block:
                 if e not in universe:
-                    return PartitionCheck(False, i, f"block {i} contains {name(e)} outside the universe")
+                    return Check(False, row=i, reason=f"block {i} contains {name(e)} outside the universe")
                 if e in seen:
-                    return PartitionCheck(False, i, f"block {i} repeats {name(e)}")
+                    return Check(False, row=i, reason=f"block {i} repeats {name(e)}")
                 seen.add(e)
     if len(seen) != len(universe):
-        return PartitionCheck(False, None, "blocks do not cover the universe")
+        return Check(False, reason="blocks do not cover the universe")
     packed = PackedTable(spec, max(map(len, blocks), default=0))
     sums = list(map(sum, map(partial(map, packed.table.__getitem__), blocks)))
     first = packed.first_unlike(sums)
     if first is not None:
-        return PartitionCheck(False, first, f"block {first} sums to {format_element(packed.element(sums[first]))}")
-    return PartitionCheck(True)
+        return Check(False, row=first, reason=f"block {first} sums to {format_element(packed.element(sums[first]))}")
+    return Check(True)
 
 
-def verify_triple_bijection(tb: TripleBijection) -> BijectionCheck:
+def verify_triple_bijection(tb: TripleBijection) -> Check:
     """Check that phi and psi are permutations with zero column sums; each
     column is summed once from a ``PackedTable`` and the first failing column
     is reported."""
     n = tb.spec.order
     for name, perm in (("phi", tb.phi), ("psi", tb.psi)):
         if len(perm) != n or not set(perm).issuperset(range(n)):  # n entries covering 0..n-1
-            return BijectionCheck(False, None, f"{name} is not a permutation")
+            return Check(False, reason=f"{name} is not a permutation")
     packed = PackedTable(tb.spec, 3)
     table = packed.table
     sums = list(map(add, map(add, table, map(table.__getitem__, tb.phi)), map(table.__getitem__, tb.psi)))
     first = packed.first_unlike(sums)
     if first is not None:
         g = format_element(tb.spec.element_at(first))
-        return BijectionCheck(False, first, f"column at {g} sums to {format_element(packed.element(sums[first]))}")
-    return BijectionCheck(True)
+        return Check(False, col=first, reason=f"column at {g} sums to {format_element(packed.element(sums[first]))}")
+    return Check(True)
 
 
 # -- involution quadruples ------------------------------------------------------
@@ -288,7 +270,7 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 # the element with index i.
 
 
-def _tb_from_phi(spec: GroupSpec, phi: list[int] | tuple[int, ...]) -> TripleBijection:
+def _tb_from_phi(spec: GroupSpec, phi: list[int] | tuple[int, ...] | range) -> TripleBijection:
     """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced,
     and this is the one place it is computed.  Each coordinate adds its digit
     table to itself gathered through phi and reads each sum v off one table of
@@ -441,14 +423,14 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     """Build a triple bijection for any group of odd order or with more
     than one involution; callers verify it (the CLI does).
 
-    The group splits as (2-part) x (odd part).  A triple bijection of the
-    2-part times the identity on the odd part is one of the whole group:
-    the identity on an odd-order group is one, since g + g + (-2g) = 0 and
-    g -> -2g is a bijection there.  So the ladder runs on the 2-part only,
-    and its phi is carried to the group through the split by gathers, one
-    odd residue at a time (a 2-group has one).  Strategy order on the
-    2-part: componentwise product of two admissible parts, seed tables, the
-    two quotient liftings, the two-factor doubling construction.  Each rung
+    On an odd-order group phi is the identity, since g + g + (-2g) = 0 and
+    g -> -2g is a bijection there.  Otherwise the group splits as (2-part)
+    x (odd part), and a triple bijection of the 2-part times the identity
+    on the odd part is one of the whole group: the ladder runs on the
+    2-part only, and its phi is carried to the group through the split by
+    one gather per odd residue.  Strategy order on the 2-part:
+    componentwise product of two admissible parts, seed tables, the two
+    quotient liftings, the two-factor doubling construction.  Each rung
     builds phi only, since psi(g) = -g - phi(g) is forced.
     """
     if not in_class_g(spec):
@@ -456,6 +438,9 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
             f"{spec} has exactly one involution, so the element sum is that "
             "involution and no triple bijection exists"
         )
+    if spec.order % 2 == 1:
+        check_order(spec.order)
+        return _tb_from_phi(spec, range(spec.order))
     two_spec, odd_spec, codes, merged = two_part_tables(spec)
     ladder, n_odd = _ladder_phi(two_spec), odd_spec.order
     images = [0] * spec.order  # by code: the image of the element merged[code]
@@ -481,13 +466,6 @@ def _check_admissible(spec: GroupSpec, m: int) -> None:
         )
 
 
-def _checked(partition: ZeroSumPartition) -> ZeroSumPartition:
-    check = verify_zsp(partition.spec, partition, partition.m)
-    if not check.ok:
-        raise AssertionError(f"internal: built partition failed verification: {check.reason}")
-    return partition
-
-
 def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     """Partition into blocks of even size ``m2 >= 4``.
 
@@ -510,8 +488,8 @@ def zsp_even(spec: GroupSpec, m2: int) -> ZeroSumPartition:
     seeded = m2 % 4 == 2
     seeds, rest = (pairs[:t], pairs[t:]) if seeded else ([()] * t, pairs)
     stream = iter(involution_closure(spec) + list(chain.from_iterable(rest)))
-    blocks = map(add, seeds, zip(*[stream] * (m2 - 2 * seeded)))
-    return _checked(ZeroSumPartition._sorted(spec, m2, blocks))
+    partition = ZeroSumPartition._sorted(spec, m2, map(add, seeds, zip(*[stream] * (m2 - 2 * seeded))))
+    return checked(partition, verify_zsp(spec, partition, m2))
 
 
 def _odd_base_partition(spec: GroupSpec, m: int) -> ZeroSumPartition:
@@ -574,7 +552,7 @@ def zsp_odd(spec: GroupSpec, m: int) -> ZeroSumPartition:
             for first, odd_column in zip(firsts, zip(*_odd_base_partition(odd_spec, m).blocks))
         ]
         partition = ZeroSumPartition._sorted(spec, m, zip(*columns))
-    return _checked(partition)
+    return checked(partition, verify_zsp(spec, partition, m))
 
 
 def zsp(spec: GroupSpec, m: int) -> ZeroSumPartition:

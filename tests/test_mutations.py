@@ -78,7 +78,7 @@ class TestPartition:
         check = verify_zsp(SPEC, ZeroSumPartition(SPEC, self.m, indices(SPEC, edited)), self.m)
         first = min(a[0], b[0])
         assert not check.ok
-        assert check.block_index == first
+        assert check.row == first
         assert check.reason == f"block {first} sums to {format_element(_element_sum(SPEC, edited[first]))}"
 
     def test_dropped_block(self, blocks):
@@ -104,7 +104,7 @@ class TestTripleBijection:
         psi = list(tb.psi)
         psi[i], psi[j] = psi[j], psi[i]
         check = verify_triple_bijection(TripleBijection(SPEC, tb.phi, tuple(psi)))
-        assert not check.ok and check.index == min(i, j)
+        assert not check.ok and check.col == min(i, j)
 
     def test_dropped_row(self, tb):
         check = verify_triple_bijection(TripleBijection(SPEC, tb.phi[:-1], tb.psi[:-1]))
@@ -126,7 +126,7 @@ class TestTripleBijection:
             if total != SPEC.identity():
                 expected = (i, f"column at {format_element(g)} sums to {format_element(total)}")
                 break
-        assert (check.ok, check.index, check.reason) == ((True, None, None) if expected is None else (False, *expected))
+        assert (check.ok, check.col, check.reason) == ((True, None, None) if expected is None else (False, *expected))
 
 
 @pytest.mark.parametrize(
@@ -218,7 +218,7 @@ class TestSizedPartition:
     def test_swap_across_blocks(self, blocks):
         edited = _swap(blocks, (1, 0), (2, 1))
         check = verify_sized_partition(self.spec, edited, self.sizes)
-        assert not check.ok and check.block_index == 1
+        assert not check.ok and check.row == 1
         assert check.reason == f"block 1 sums to {format_element(_element_sum(self.spec, edited[1]))}"
 
     def test_dropped_block(self, blocks):

@@ -38,10 +38,8 @@ from zsmagic import (
 )
 from zsmagic import oracle
 from zsmagic.graphs import Graph, Verdict
-from zsmagic.kotzig import ArrayCheck
-from zsmagic.groups import abelian_groups_up_to, sum_all
+from zsmagic.groups import Check, abelian_groups_up_to, sum_all
 from zsmagic.oracle import DEFAULT_BUDGET, KOTZIG_CELL_CAP
-from zsmagic.zsp import BijectionCheck, PartitionCheck
 
 
 class TestSearchZsp:
@@ -392,19 +390,19 @@ class TestReverification:
         "verifier, rejection, search",
         [
             pytest.param(
-                "verify_zsp", PartitionCheck(False, 0, "rejected"),
+                "verify_zsp", Check(False, row=0, reason="rejected"),
                 lambda: search_zsp(GroupSpec((9,)), 3), id="zsp",
             ),
             pytest.param(
-                "verify_triple_bijection", BijectionCheck(False, 0, "rejected"),
+                "verify_triple_bijection", Check(False, col=0, reason="rejected"),
                 lambda: search_triple_bijection(GroupSpec((2, 2))), id="bijection",
             ),
             pytest.param(
-                "verify_kotzig", ArrayCheck(False, 0, 0, "rejected"),
+                "verify_kotzig", Check(False, row=0, col=0, reason="rejected"),
                 lambda: search_kotzig(GroupSpec((2, 2)), 3), id="kotzig",
             ),
             pytest.param(
-                "verify_kotzig", ArrayCheck(False, 0, 0, "rejected"),
+                "verify_kotzig", Check(False, row=0, col=0, reason="rejected"),
                 lambda: search_kotzig(3, 3), id="kotzig-int",
             ),
             pytest.param(
@@ -412,7 +410,7 @@ class TestReverification:
                 lambda: search_labeling(cycle_graph(4), GroupSpec((4,))), id="labeling",
             ),
             pytest.param(  # the scan checks its index blocks with the check behind verify_sized_partition
-                "_check_sized", PartitionCheck(False, 0, "rejected"),
+                "_check_sized", Check(False, row=0, reason="rejected"),
                 lambda: conjecture_scan(GroupSpec((2, 2, 3)), (3, 4, 4)), id="sized-partition",
             ),
         ],

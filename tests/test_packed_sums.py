@@ -30,10 +30,8 @@ from zsmagic import (
     zsp,
 )
 from zsmagic.graphs import weights
-from zsmagic.groups import format_element
-from zsmagic.kotzig import ArrayCheck
+from zsmagic.groups import Check, format_element
 from zsmagic.oracle import verify_sized_partition
-from zsmagic.zsp import BijectionCheck, PartitionCheck
 
 # -- references ---------------------------------------------------------------------
 
@@ -47,29 +45,29 @@ def _ref_blocks(spec, blocks, universe):
     for i, block in enumerate(blocks):
         for e in block:
             if e not in universe:
-                return PartitionCheck(False, i, f"block {i} contains {_name(spec, e)} outside the universe")
+                return Check(False, row=i, reason=f"block {i} contains {_name(spec, e)} outside the universe")
             if e in seen:
-                return PartitionCheck(False, i, f"block {i} repeats {_name(spec, e)}")
+                return Check(False, row=i, reason=f"block {i} repeats {_name(spec, e)}")
             seen.add(e)
     if len(seen) != len(universe):
-        return PartitionCheck(False, None, "blocks do not cover the universe")
+        return Check(False, reason="blocks do not cover the universe")
     for i, block in enumerate(blocks):
         total = spec.sum(map(spec.element_at, block))
         if total != spec.identity():
-            return PartitionCheck(False, i, f"block {i} sums to {format_element(total)}")
-    return PartitionCheck(True)
+            return Check(False, row=i, reason=f"block {i} sums to {format_element(total)}")
+    return Check(True)
 
 
 def ref_verify_zsp(spec, blocks, m):
     for i, block in enumerate(blocks):
         if len(block) != m or len(set(block)) != m:
-            return PartitionCheck(False, i, f"block {i} does not have {m} distinct elements")
+            return Check(False, row=i, reason=f"block {i} does not have {m} distinct elements")
     return _ref_blocks(spec, blocks, range(spec.order))
 
 
 def ref_verify_sized_partition(spec, index_blocks, sizes):
     if Counter(map(len, index_blocks)) != Counter(sizes):
-        return PartitionCheck(False, None, "block sizes do not match")
+        return Check(False, reason="block sizes do not match")
     return _ref_blocks(spec, index_blocks, range(1, spec.order))
 
 
@@ -77,26 +75,26 @@ def ref_verify_triple_bijection(tb):
     spec, n = tb.spec, tb.spec.order
     for name, perm in (("phi", tb.phi), ("psi", tb.psi)):
         if sorted(perm) != list(range(n)):
-            return BijectionCheck(False, None, f"{name} is not a permutation")
+            return Check(False, reason=f"{name} is not a permutation")
     for g in range(n):
         total = spec.sum(map(spec.element_at, (g, tb.phi[g], tb.psi[g])))
         if total != spec.identity():
-            return BijectionCheck(False, g, f"column at {_name(spec, g)} sums to {format_element(total)}")
-    return BijectionCheck(True)
+            return Check(False, col=g, reason=f"column at {_name(spec, g)} sums to {format_element(total)}")
+    return Check(True)
 
 
 def ref_verify_kotzig(array):
     spec, n = array.spec, array.spec.order
     for r, row in enumerate(array.rows):
         if sorted(row) != list(range(n)):
-            return ArrayCheck(False, row=r, reason=f"row {r} is not a permutation of the group")
+            return Check(False, row=r, reason=f"row {r} is not a permutation of the group")
     if not array.rows:
-        return ArrayCheck(False, reason="the array has no rows")
+        return Check(False, reason="the array has no rows")
     sums = [spec.sum(spec.element_at(row[c]) for row in array.rows) for c in range(n)]
     for c in range(1, n):
         if sums[c] != sums[0]:
-            return ArrayCheck(False, col=c, reason=f"column {c} sums to {sums[c]}, column 0 to {sums[0]}")
-    return ArrayCheck(True)
+            return Check(False, col=c, reason=f"column {c} sums to {sums[c]}, column 0 to {sums[0]}")
+    return Check(True)
 
 
 def ref_weights(g, labeling):
@@ -244,7 +242,7 @@ class TestCarryBoundary:
             spec = GroupSpec((3,) * k)
             ident = tuple(range(spec.order))
             tb = TripleBijection(spec, ident, ident)
-            assert verify_triple_bijection(tb) == BijectionCheck(True)
+            assert verify_triple_bijection(tb) == Check(True)
         for factors in CARRY_SPECS:  # elsewhere 3g = 0 fails somewhere: the reference names where
             spec = GroupSpec(factors)
             ident = tuple(range(spec.order))
@@ -260,7 +258,7 @@ class TestCarryBoundary:
             for j in (max(factors), 2 * max(factors) - 1, spec.order):
                 array = GroupKotzigArray(spec, (ident,) * j)
                 assert verify_kotzig(array) == ref_verify_kotzig(array)
-            assert verify_kotzig(GroupKotzigArray(spec, (ident,) * math.lcm(*factors))) == ArrayCheck(True)
+            assert verify_kotzig(GroupKotzigArray(spec, (ident,) * math.lcm(*factors))) == Check(True)
 
     def test_partition_blocks(self):
         # blocks are distinct elements, so the most a block can put in coordinate t is
@@ -282,7 +280,7 @@ class TestCarryBoundary:
                 slices = [
                     tuple(i for i in range(spec.order) if spec.element_at(i)[t] == c) for c in reversed(range(f))
                 ]
-                assert verify_zsp(spec, slices, len(slices[0])) == PartitionCheck(True)
+                assert verify_zsp(spec, slices, len(slices[0])) == Check(True)
 
     def test_neighbourhoods(self):
         # vertex 0 (the identity) is joined to every vertex whose element has x_t = f_t - 1

@@ -7,10 +7,12 @@ import pytest
 
 from zsmagic import build_group_kotzig, build_int_kotzig, parse_group_spec, zsp
 from zsmagic.cli import main
+from zsmagic.groups import Check
 
 zsp_module = importlib.import_module("zsmagic.zsp")  # the package's ``zsp`` is the function
 kotzig_module = importlib.import_module("zsmagic.kotzig")
 oracle_module = importlib.import_module("zsmagic.oracle")
+cli_module = importlib.import_module("zsmagic.cli")
 
 
 @pytest.fixture
@@ -78,6 +80,27 @@ def test_cli_adds_no_verification(capsys, zsp_calls, kotzig_calls, argv, counter
 def test_int_kotzig_verifies_once(kotzig_calls):
     build_int_kotzig(5, 21)
     assert kotzig_calls == [(5, 21)]
+
+
+@pytest.mark.parametrize(
+    "module, verifier, build",
+    [
+        (zsp_module, "verify_zsp", lambda: zsp(parse_group_spec("Z2xZ2xZ3"), 6)),
+        (zsp_module, "verify_zsp", lambda: zsp(parse_group_spec("Z3xZ15"), 5)),
+        (zsp_module, "verify_zsp", lambda: zsp(parse_group_spec("Z2xZ2xZ3"), 3)),
+        (kotzig_module, "verify_kotzig", lambda: build_group_kotzig(parse_group_spec("Z2xZ6"), 3)),
+        (kotzig_module, "verify_kotzig", lambda: build_int_kotzig(3, 5)),
+        (cli_module, "verify_triple_bijection", lambda: main(["bijection", "Z2xZ2"])),
+    ],
+    ids=["zsp-even", "zsp-odd", "zsp-odd-lift", "kotzig", "kotzig-int", "cli-bijection"],
+)
+def test_built_artifact_failing_its_check_raises(monkeypatch, capsys, module, verifier, build):
+    """A constructor whose output fails its own verifier has a bug: it raises
+    with the verifier's reason, and the CLI prints no certificate."""
+    monkeypatch.setattr(module, verifier, lambda *args: Check(False, row=0, reason="planted rejection"))
+    with pytest.raises(AssertionError, match="failed verification: planted rejection"):
+        build()
+    assert capsys.readouterr().out == ""
 
 
 def test_found_report_parses_its_witness_once(monkeypatch, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 from itertools import permutations
 
@@ -29,7 +30,7 @@ from zsmagic import (
     zsp_even,
     zsp_odd,
 )
-from zsmagic.groups import abelian_groups_up_to, two_part_split
+from zsmagic.groups import abelian_groups_up_to, multiples, two_part_split
 from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8, _coset, _tb_from_phi
 
 
@@ -113,6 +114,21 @@ class TestTripleBijection:
     def test_odd_closed_form(self):
         tb = triple_bijection(GroupSpec((5,)))
         assert images(tb, (1,)) == ((1,), (3,))
+
+    @given(
+        st.lists(st.integers(1, 31).map(lambda x: 2 * x + 1), min_size=1, max_size=4)
+        .filter(lambda fs: math.prod(fs) <= 4095)
+        .map(lambda fs: GroupSpec(tuple(fs)))
+    )
+    @example(GroupSpec((15,)))
+    @example(GroupSpec((3, 45)))
+    @example(GroupSpec((4095,)))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_order_is_the_identity(self, spec):
+        # on odd order phi is the identity and psi is g -> -2g, with no 2-part split
+        tb = triple_bijection(spec)
+        assert tb.phi == tuple(range(spec.order))
+        assert list(tb.psi) == multiples(spec, -2)
 
     def test_klein_four_by_search(self):
         tb = triple_bijection(GroupSpec((2, 2)))
@@ -218,14 +234,14 @@ class TestVerifyZsp:
         blocks = [[(0,), (1,), (2,)], [(3,), (4,), (5,)], [(6,), (7,), (8,)]]
         check = verify_zsp(spec, indices(spec, blocks), 3)
         assert not check.ok
-        assert check.block_index == 0
+        assert check.row == 0
         assert "sums to 3" in check.reason
 
     def test_rejects_pairs(self):
         spec = GroupSpec((4,))
         check = verify_zsp(spec, indices(spec, [[(0,), (1,)], [(2,), (3,)]]), 2)
         assert not check.ok
-        assert check.block_index == 0
+        assert check.row == 0
 
     def test_rejects_bad_size(self):
         spec = GroupSpec((9,))
