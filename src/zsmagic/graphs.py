@@ -249,7 +249,7 @@ def verify_labeling(g: Graph, labeling: Labeling) -> Verdict:
         raise ParameterError(
             f"graph order {g.n} does not match group order {labeling.spec.order}"
         )
-    ws = weights(g, labeling) or [labeling.spec.identity()]  # no vertex: the identity is mu
+    ws = weights(g, labeling)  # g.n = |G| >= 1, so ws[0] exists
     v = next((v for v, w in enumerate(ws) if w != ws[0]), None)
     return Verdict("magic", mu=ws[0]) if v is None else Verdict("not-magic", witness=(0, v))
 
@@ -265,7 +265,8 @@ def obstruction_check(g: Graph, spec: GroupSpec) -> Verdict:
         raise ParameterError(f"graph order {g.n} does not match group order {spec.order}")
     if g.n % 4 == 2 and g.all_degrees_odd:
         return Verdict("impossible", obstruction=OBSTRUCTION_ODD_DEGREES_ORDER_2_MOD_4)
-    if g.is_regular and g.n > 0 and g.regular_degree % 2 == 1 and involution_count(spec) == 1:
+    # g.n = |G| >= 1, so a regular g has a regular degree
+    if g.is_regular and g.regular_degree % 2 == 1 and involution_count(spec) == 1:
         return Verdict("impossible", obstruction=OBSTRUCTION_ODD_REGULAR_ONE_INVOLUTION)
     return Verdict("unknown")
 
@@ -305,9 +306,8 @@ def blowup_even_label(g: Graph, n2: int, spec: GroupSpec) -> Labeling:
         raise ParameterError(f"fiber size must be even and >= 2, got {n2}")
     _check_blowup_order(g, n2, spec)
     check_order(spec.order)
-    last_even = max((t for t, f in enumerate(spec.factors) if f % 2 == 0), default=None)
-    if last_even is None:
-        raise ParameterError(f"{spec} has odd order; every element is a double")
+    # the order n2 * g.n is even, so some factor is
+    last_even = max(t for t, f in enumerate(spec.factors) if f % 2 == 0)
     # partner[x] is the index of s - x; s is no double, so x and s - x differ
     partner = outer_sum(
         [((t == last_even) - x) % f * stride for x in range(f)]
@@ -335,9 +335,8 @@ def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
     if bip is None:
         raise ParameterError("base graph has no bipartition with equal sides")
     v1, v2 = bip
-    two_spec, odd_spec, merged = two_part_split(spec)
-    if two_spec.order != 2:
-        raise ParameterError(f"{spec} does not split as Z2 x (odd order)")
+    # the order n * g.n is 2 mod 4, so the 2-part is Z2
+    _two_spec, odd_spec, merged = two_part_split(spec)
     partition = zsp(odd_spec, n_odd)
     assignment = [0] * spec.order
     for side, offset in ((v1, 0), (v2, odd_spec.order)):

@@ -16,13 +16,15 @@ both modes of ``search_kotzig`` and by ``search_triple_bijection``: a
 triple bijection is the 3-row grid with column sum 0, phi its middle row
 and psi its forced last row).  A node is one choice the search commits
 to: an anchor with the size of the block it opens, a free element or a
-forced element; budgets cap nodes.  ``search_zsp`` opens its first block
-on the identity without a choice, so that anchor is not a node.  The grid
-kernel fills the last two rows of a column together, from a table of
-(free value, forced last cell) pairs; each cell is still one node, and a
-pair with a cell already used is skipped without a node.  That is the
-last row's own test made one level earlier, so it removes only branches
-no completion can use, and proofs and least witnesses are unchanged.
+forced element.  Each kernel counts its own nodes and returns the count,
+and a budget b cuts it at node b + 1, the count a cut search reports.
+``search_zsp`` opens its first block on the identity without a choice, so
+that anchor is not a node.  The grid kernel fills the last two rows of a
+column together, from a table of (free value, forced last cell) pairs;
+each cell is still one node, and a pair with a cell already used is
+skipped without a node.  That is the last row's own test made one level
+earlier, so it removes only branches no completion can use, and proofs
+and least witnesses are unchanged.
 
 Witnesses are deterministic: the least solution in the documented search
 order (element enumeration order, grids column-major, labelings by vertex
@@ -111,39 +113,27 @@ class SearchReport:
 
 
 class _BudgetExceeded(Exception):
-    pass
+    """Raised by a kernel once its node count passes the budget."""
 
 
-class _Budget:
-    __slots__ = ("budget", "spent")
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.spent = 0
-
-    def spend(self) -> None:
-        self.spent += 1
-        if self.spent > self.budget:
-            raise _BudgetExceeded
-
-
-def _settle(tracker: _Budget, search, witness_of, check) -> SearchReport:
-    """Run ``search()`` under the budget and report the outcome.
+def _settle(budget: int, search, witness_of, check) -> SearchReport:
+    """Run ``search()``, which returns ``(found, nodes)`` or raises
+    ``_BudgetExceeded`` at node ``budget + 1``, and report the outcome.
 
     A found witness is built by ``witness_of()`` and must pass ``check``,
     its owning verifier; a rejection means the search itself is wrong.
     """
     try:
-        found = search()
+        found, nodes = search()
     except _BudgetExceeded:
-        return SearchReport(False, False, tracker.spent)
+        return SearchReport(False, False, budget + 1)
     if not found:
-        return SearchReport(False, True, tracker.spent)
+        return SearchReport(False, True, nodes)
     witness = witness_of()
     verdict = check(witness)
     if not verdict:
         raise AssertionError(f"internal: search witness failed re-verification: {verdict}")
-    return SearchReport(True, True, tracker.spent, witness)
+    return SearchReport(True, True, nodes, witness)
 
 
 @lru_cache(maxsize=None)
@@ -158,20 +148,24 @@ def _tables(spec: GroupSpec):
 # -- sized-block kernel: zero-sum partitions of equal or unequal sizes -----------
 
 
-def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budget):
+def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, budget: int):
     """Canonical backtracking over zero-sum blocks of the unassigned elements.
 
     ``close()`` opens the next block on the least unassigned element, trying
     each size left in the multiset ``sizes`` in ascending order, and
     succeeds once every element is assigned.  ``extend(block, total, size)``
     grows the open block in ascending element order; its last element is
-    forced by the zero-sum condition.  Returns ``(blocks, close, extend)``;
-    ``blocks`` holds the closed blocks of the current branch.
+    forced by the zero-sum condition.  Returns ``(blocks, run)``: ``blocks``
+    holds the closed blocks of the current branch, and ``run(first)`` searches
+    from the root, or with a block of size ``first`` open on the identity
+    (index 0), and returns ``(found, nodes)``.
     """
     n = len(assigned)
     blocks: list[list[int]] = []
+    nodes = 0
 
     def close() -> bool:
+        nonlocal nodes
         if all(assigned):
             return True
         anchor = assigned.index(False)
@@ -179,7 +173,9 @@ def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budg
             if sizes[size] == 0:
                 continue
             sizes[size] -= 1
-            tracker.spend()
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
             assigned[anchor] = True
             if extend([anchor], anchor, size):
                 return True
@@ -188,6 +184,7 @@ def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budg
         return False
 
     def extend(block: list[int], total: int, size: int) -> bool:
+        nonlocal nodes
         if len(block) == size:
             if total != 0:
                 return False
@@ -198,19 +195,15 @@ def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budg
             return False
         if len(block) == size - 1:
             forced = neg[total]
-            if forced > block[-1] and not assigned[forced]:
-                tracker.spend()
-                assigned[forced] = True
-                block.append(forced)
-                if extend(block, 0, size):
-                    return True
-                block.pop()
-                assigned[forced] = False
-            return False
-        for i in range(block[-1] + 1, n):
+            choices = (forced,) if forced > block[-1] else ()
+        else:
+            choices = range(block[-1] + 1, n)
+        for i in choices:
             if assigned[i]:
                 continue
-            tracker.spend()
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
             assigned[i] = True
             block.append(i)
             if extend(block, add[total][i], size):
@@ -219,7 +212,11 @@ def _block_kernel(add, neg, assigned: list[bool], sizes: Counter, tracker: _Budg
             assigned[i] = False
         return False
 
-    return blocks, close, extend
+    def run(first: int = 0) -> tuple[bool, int]:
+        found = extend([0], 0, first) if first else close()
+        return found, nodes
+
+    return blocks, run
 
 
 def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
@@ -239,14 +236,13 @@ def search_zsp(spec: GroupSpec, m: int, budget: int = DEFAULT_BUDGET) -> SearchR
         # every full partition sums the whole group into zero blocks
         return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
-    tracker = _Budget(budget)
     assigned = [False] * len(elems)
     assigned[0] = True  # the first block opens on the identity
     sizes = Counter({m: spec.order // m - 1})
-    blocks, _close, extend = _block_kernel(add, neg, assigned, sizes, tracker)
+    blocks, run = _block_kernel(add, neg, assigned, sizes, budget)
     return _settle(
-        tracker,
-        lambda: extend([0], 0, m),
+        budget,
+        lambda: run(m),
         # the kernel closes blocks in canonical order: each block ascending, blocks by their least element
         lambda: ZeroSumPartition(spec, m, tuple(map(tuple, blocks))),
         lambda witness: verify_zsp(spec, witness, m),
@@ -303,11 +299,12 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
     ``pairs[s]``: each value v, ascending, whose forced last cell
     w = forced[step[s][v]] exists (an integer total past the table has
     none), with its w.  A pair is two nodes, one per cell, spent as a
-    cell-by-cell fill spends them.  A pair whose v or w is used is skipped
-    without a node: the last row's test refuses w, so no completion uses
-    v, and proofs and least witnesses are unchanged.
+    cell-by-cell fill spends them, so a cut can come one node past
+    ``budget + 1``; ``_settle`` reports ``budget + 1`` either way.  A pair
+    whose v or w is used is skipped without a node: the last row's test
+    refuses w, so no completion uses v, and proofs and least witnesses are
+    unchanged.
     """
-    tracker = _Budget(budget)
     grid = [list(range(k))] + [[-1] * k for _ in range(j - 1)]
     used = [[False] * k for _ in range(j)]
     before, last = j - 2, j - 1
@@ -330,19 +327,12 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
                     return True
                 before_used[v] = last_used[w] = False
             return False
-        if r == last:  # j = 2: the column's one cell is forced
-            w = forced[colsum]
-            if w < 0 or last_used[w]:
-                return False
+        if r == last:  # j = 2: column c closes on forced[c] (-c, or k - 1 - c), which exists and no other column uses
             nodes += 1
             if nodes > budget:
                 raise _BudgetExceeded
-            last_row[c] = w
-            last_used[w] = True
-            if c + 1 == k or fill(c + 1, 1, c + 1):
-                return True
-            last_used[w] = False
-            return False
+            last_row[c] = forced[colsum]
+            return c + 1 == k or fill(c + 1, 1, c + 1)
         for v in range(k):
             if used[r][v]:
                 continue
@@ -356,14 +346,12 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
             used[r][v] = False
         return False
 
-    def search() -> bool:
-        try:
-            # a single row is a permutation, so its columns agree only when k = 1
-            return k == 1 if j == 1 else fill(0, 1, 0)
-        finally:
-            tracker.spent = min(nodes, budget + 1)  # a pair can end one node past budget + 1
+    def search() -> tuple[bool, int]:
+        # a single row is a permutation, so its columns agree only when k = 1
+        found = k == 1 if j == 1 else fill(0, 1, 0)
+        return found, nodes
 
-    return _settle(tracker, search, lambda: witness_of(grid), check)
+    return _settle(budget, search, lambda: witness_of(grid), check)
 
 
 def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
@@ -437,7 +425,6 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         return SearchReport(False, True, 0)
     elems, add, neg = _tables(spec)
     n = g.n
-    tracker = _Budget(budget)
     # (depth, cost, x, y, A, B) with A = N(x) - N(y) and B = N(y) - N(x) placed by that depth
     diffs = []
     for x in range(n):
@@ -458,6 +445,7 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
             checks[depth].append((a, b))
     labels = [-1] * n
     used = [False] * n
+    nodes = 0
     # the normal form, as element indices: each map is a table x -> u*x + c
     exponent = math.lcm(*spec.factors)
     units = [u for u in range(exponent) if math.gcd(u, exponent) == 1]
@@ -475,12 +463,15 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         return total
 
     def extend(v: int) -> bool:
+        nonlocal nodes
         if v == n:
             return True
         for value in firsts if v == 0 else seconds[labels[0]] if v == 1 else range(n):
             if used[value]:
                 continue
-            tracker.spend()
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetExceeded
             labels[v] = value
             used[value] = True
             for a, b in checks[v + 1]:
@@ -493,8 +484,8 @@ def search_labeling(g: Graph, spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> 
         return False
 
     return _settle(
-        tracker,
-        lambda: extend(0),
+        budget,
+        lambda: (extend(0), nodes),
         lambda: Labeling(spec, tuple(labels)),
         lambda witness: verify_labeling(g, witness).is_magic,
     )
@@ -555,15 +546,13 @@ def conjecture_scan(spec: GroupSpec, parts, budget: int = DEFAULT_BUDGET) -> Sea
         raise ParameterError(
             f"exhaustive partition search capped at order {CONJECTURE_ORDER_CAP}"
         )
-    if sum_all(spec) != spec.identity():
-        return SearchReport(False, True, 0)
+    # three involutions make the 2-torsion rank at least 2, so sum_all(spec) is the identity
     elems, add, neg = _tables(spec)
-    tracker = _Budget(budget)
     assigned = [False] * len(elems)
     assigned[0] = True  # the identity is excluded from the universe
-    blocks, close, _extend = _block_kernel(add, neg, assigned, Counter(parts), tracker)
+    blocks, run = _block_kernel(add, neg, assigned, Counter(parts), budget)
     # the kernel's index blocks are checked; the element-tuple witness is built once they pass
-    report = _settle(tracker, close, lambda: blocks, lambda rows: _check_sized(spec, rows, parts))
+    report = _settle(budget, run, lambda: blocks, lambda rows: _check_sized(spec, rows, parts))
     if not report.found:
         return report
     return SearchReport(True, True, report.nodes, (spec, tuple(tuple(elems[i] for i in blk) for blk in blocks)))

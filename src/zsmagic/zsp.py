@@ -123,9 +123,9 @@ def check_blocks(spec: GroupSpec, blocks, universe, name=None) -> Check:
     One set of the indices decides repeats, cover and then membership, so the work is that of
     the blocks until the cover holds; only when that fails does a loop name the faulty block.
     Then each block is summed once from a ``PackedTable``.  ``name(i)`` spells an index in a
-    reason; it defaults to the element's text.
+    reason; it defaults to the element's text, or ``index i`` outside the group.
     """
-    name = name or (lambda i: format_element(spec.element_at(i)))
+    name = name or (lambda i: format_element(spec.element_at(i)) if 0 <= i < spec.order else f"index {i}")
     seen = set(chain.from_iterable(blocks))
     if len(seen) != len(universe) or len(seen) < sum(map(len, blocks)) or not seen.issubset(universe):
         seen = set()
@@ -270,7 +270,7 @@ def base_tables() -> dict[tuple[int, ...], TripleBijection]:
 # the element with index i.
 
 
-def _tb_from_phi(spec: GroupSpec, phi: list[int] | tuple[int, ...] | range) -> TripleBijection:
+def _tb_from_phi(spec: GroupSpec, phi: list[int] | tuple[int, ...]) -> TripleBijection:
     """The triple bijection with the given phi: psi(g) = -g - phi(g) is forced,
     and this is the one place it is computed.  Each coordinate adds its digit
     table to itself gathered through phi and reads each sum v off one table of
@@ -399,11 +399,10 @@ def _sorted_two_factor_phi(factors: tuple[int, int]) -> list[int]:
 
 
 def _ladder_phi(spec: GroupSpec) -> list[int]:
-    """Strategy ladder on a 2-group presentation known to admit a solution
-    (or on the trivial group)."""
+    """Strategy ladder on a 2-group presentation of rank >= 2 known to admit
+    a solution: odd orders never reach it, the quotient lifts keep rank 3
+    and the product rung splits off two parts of rank >= 2."""
     k = spec.arity
-    if k == 0:
-        return [0]
     if k >= 4:
         # a 2-group of rank >= 4: Z_f0 x Z_f1 times the rest, both of rank >= 2
         phi_b = _ladder_phi(GroupSpec(spec.factors[2:]))
@@ -440,7 +439,7 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
         )
     if spec.order % 2 == 1:
         check_order(spec.order)
-        return _tb_from_phi(spec, range(spec.order))
+        return TripleBijection(spec, tuple(range(spec.order)), tuple(multiples(spec, -2)))
     two_spec, odd_spec, codes, merged = two_part_tables(spec)
     ladder, n_odd = _ladder_phi(two_spec), odd_spec.order
     images = [0] * spec.order  # by code: the image of the element merged[code]

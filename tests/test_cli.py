@@ -248,6 +248,12 @@ class TestSearchAndScan:
                 "exceeds the bound",
                 id="int-kotzig-above-bound",
             ),
+            pytest.param(
+                ("kotzig", "abc", "3", "--int"),
+                EXIT_INVALID,
+                "--int expects an integer column count, got 'abc'",
+                id="int-kotzig-column-count-not-integer",
+            ),
         ],
     )
     def test_argument_table(self, capsys, argv, code, message):
@@ -266,6 +272,16 @@ class TestSearchAndScan:
         code, out, _ = run(capsys, "scan", "8")
         assert code == EXIT_OK
         assert "counterexamples: 0" in out
+
+    def test_scan_budget_spent(self, capsys):
+        # an instance cut by its budget is no counterexample, but the scan is not a proof
+        code, out, _ = run(capsys, "scan", "16", "--budget", "1")
+        assert code == EXIT_BUDGET
+        assert "counterexamples: 0" in out
+        _, out, _ = run(capsys, "--json", "scan", "16", "--budget", "1")
+        rows = json.loads(out)["instances"]
+        assert rows and all(row["nodes"] <= 2 for row in rows)
+        assert any(not row["exhausted"] for row in rows)
 
     @pytest.mark.parametrize(
         "max_order, code, rows",
@@ -398,6 +414,8 @@ class TestVerifyExitCodes:
             pytest.param("labeling Z3\nx\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-vertex-not-integer"),
             pytest.param("labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-header-too-long"),
             pytest.param("labeling\n0\t1\n", EXIT_INVALID, id="labeling-header-too-short"),
+            pytest.param("", EXIT_INVALID, id="empty-file"),
+            pytest.param("# only a comment\n\n", EXIT_INVALID, id="comments-only"),
         ],
     )
     def test_table(self, capsys, tmp_path, text, code):
@@ -410,6 +428,30 @@ class TestVerifyExitCodes:
             assert "invalid literal" not in err  # a GroupSpecError, not int()'s ValueError
         else:
             assert out.startswith("accept")
+
+    def test_empty_file_names_no_kind(self, capsys, tmp_path):
+        cert = tmp_path / "empty.cert"
+        cert.write_text("")
+        code, out, err = run(capsys, "verify", str(cert))
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error (invalid-input): unrecognised certificate kind ''")
+
+    def test_missing_file_is_an_io_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.cert")
+        code, out, err = run(capsys, "verify", missing)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error (io)") and "Traceback" not in err
+        code, out, _ = run(capsys, "--json", "verify", missing)
+        assert code == EXIT_INVALID
+        assert json.loads(out)["error_kind"] == "io"
+
+    def test_header_above_the_order_bound(self, capsys, tmp_path):
+        # no table of a group of order 2^21 is built: each token is read on its own, and the
+        # short body is rejected, not refused
+        cert = tmp_path / "big.cert"
+        cert.write_text("partition Z2xZ1048576 m=4\n(0,0) (0,1) (1,0) (1,1048575)\n")
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert (code, out) == (EXIT_REJECT, "reject: partition (blocks do not cover the universe)\n")
 
     @pytest.mark.parametrize(
         "graph, code",

@@ -33,6 +33,15 @@ class TestGraphModel:
         with pytest.raises(ParameterError):
             Graph(3, [(0, 5)])
 
+    def test_vertex_count_must_be_nonnegative(self):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            Graph(-1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_needs_three_vertices(self, n):
+        with pytest.raises(ParameterError, match="at least 3 vertices"):
+            cycle_graph(n)
+
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count == 1
@@ -188,6 +197,11 @@ class TestBlowupEvenLabel:
         with pytest.raises(ParameterError):
             blowup_even_label(path_graph(3), 2, GroupSpec((6,)))
 
+    @pytest.mark.parametrize("n2", [0, 3])
+    def test_fiber_must_be_even_and_positive(self, n2):
+        with pytest.raises(ParameterError, match="even and >= 2"):
+            blowup_even_label(complete_graph(3), n2, GroupSpec((9,)))
+
 
 class TestEulerianBipartiteLabel:
     @pytest.mark.parametrize("spec_text", ["Z2xZ9", "Z2xZ3xZ3", "Z18", "Z3xZ6"])
@@ -208,6 +222,12 @@ class TestEulerianBipartiteLabel:
     def test_even_fiber_rejected(self):
         with pytest.raises(ParameterError):
             eulerian_bipartite_label(cycle_graph(6), 4, parse_group_spec("Z2xZ3xZ4"))
+
+    def test_base_without_balanced_bipartition(self):
+        # two triangles: order 6, every degree 2, but not bipartite
+        triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        with pytest.raises(ParameterError, match="no bipartition with equal sides"):
+            eulerian_bipartite_label(triangles, 3, parse_group_spec("Z18"))
 
 
 class TestObstructions:
@@ -256,6 +276,10 @@ class TestBipartiteBlowupExists:
             bipartite_blowup_exists(cycle_graph(4), 2)
         with pytest.raises(ParameterError):
             bipartite_blowup_exists(cycle_graph(6), 1)
+
+    def test_regular_base_must_be_bipartite(self):
+        with pytest.raises(ParameterError, match="must be bipartite"):
+            bipartite_blowup_exists(complete_graph(6), 2)
 
 
 class TestNetworkxCrossCheck:

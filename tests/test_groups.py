@@ -156,6 +156,11 @@ class TestEnumeration:
     def test_element_at_z6(self):
         assert GroupSpec((6,)).element_at(5) == (5,)
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_element_at_out_of_range(self, index):
+        with pytest.raises(ParameterError, match=f"index {index} out of range for Z6"):
+            GroupSpec((6,)).element_at(index)
+
     def test_index_of_mixed_radix(self):
         assert GroupSpec((2, 4)).index_of((1, 2)) == 6
 
@@ -321,6 +326,11 @@ class TestIsomorphismClasses:
         assert len(classes) == 5
         assert GroupSpec((2, 2, 2, 2)) in classes
         assert GroupSpec((16,)) in classes
+
+    @pytest.mark.parametrize("order", [0, -4])
+    def test_order_must_be_positive(self, order):
+        with pytest.raises(ParameterError, match="order must be positive"):
+            abelian_isomorphism_classes(order)
 
     def test_order_12(self):
         classes = abelian_isomorphism_classes(12)

@@ -100,6 +100,11 @@ class TestIntBuilders:
         with pytest.raises(NonexistenceError):
             build_int_kotzig(3, 4)
 
+    @pytest.mark.parametrize("j, k", [(0, 3), (3, 0), (-1, 1)])
+    def test_dimensions_must_be_positive(self, j, k):
+        with pytest.raises(ParameterError, match="grid dimensions must be positive"):
+            build_int_kotzig(j, k)
+
     def test_single_row_impossible(self):
         with pytest.raises(ImpossibilityError):
             build_int_kotzig(1, 5)

@@ -18,6 +18,7 @@ from zsmagic import (
     complete_graph,
     conjecture_scan,
     cycle_graph,
+    format_element,
     in_class_g,
     involutions,
     obstruction_check,
@@ -71,6 +72,11 @@ class TestSearchZsp:
     def test_order_cap(self):
         with pytest.raises(ParameterError):
             search_zsp(GroupSpec((25,)), 5)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_block_size_must_be_positive(self, m):
+        with pytest.raises(ParameterError, match="block size must be positive"):
+            search_zsp(GroupSpec((9,)), m)
 
     def test_m2_everywhere_nonexistent(self):
         for spec in abelian_groups_up_to(12):
@@ -132,10 +138,24 @@ class TestSearchKotzig:
         with pytest.raises(ParameterError):
             search_kotzig("Z4", 2)
 
+    def test_group_row_count_must_be_positive(self):
+        with pytest.raises(ParameterError, match="row count must be positive"):
+            search_kotzig(GroupSpec((3,)), 0)
+
+    @pytest.mark.parametrize("k, j", [(0, 3), (3, 0), (-2, 2)])
+    def test_int_dimensions_must_be_positive(self, k, j):
+        with pytest.raises(ParameterError, match="grid dimensions must be positive"):
+            search_kotzig(k, j)
+
+    def test_int_cell_cap(self):
+        with pytest.raises(ParameterError, match="capped at 48 cells"):
+            search_kotzig(7, 7)
+
 
 class TestGridBudget:
-    """A grid search cut at budget b reports b + 1 nodes, and one given at
-    least its full count reports that count and the least witness."""
+    """A search cut at budget b reports b + 1 nodes, and one given at least
+    its full count reports that count and the least witness; the sized-block
+    and labeling kernels count their nodes as the grid kernel does."""
 
     @pytest.mark.parametrize(
         "search",
@@ -147,6 +167,16 @@ class TestGridBudget:
             pytest.param(lambda b: search_kotzig(parse_group_spec("Z2xZ2"), 5, b), id="kotzig-Z2xZ2-j5"),
             pytest.param(lambda b: search_kotzig(5, 3, b), id="int-k5-j3"),
             pytest.param(lambda b: search_kotzig(4, 4, b), id="int-k4-j4"),
+            # the sized-block kernel, from the identity's open block and from the root
+            pytest.param(lambda b: search_zsp(parse_group_spec("Z9"), 3, b), id="zsp-Z9-m3"),
+            pytest.param(lambda b: search_zsp(parse_group_spec("Z2xZ2xZ3"), 3, b), id="zsp-Z2xZ2xZ3-m3"),
+            pytest.param(lambda b: conjecture_scan(parse_group_spec("Z2xZ2xZ2"), (3, 4), b), id="scan-Z2xZ2xZ2-3-4"),
+            pytest.param(
+                lambda b: conjecture_scan(parse_group_spec("Z2xZ2xZ4"), (3, 3, 3, 6), b), id="scan-Z2xZ2xZ4-3-3-3-6"
+            ),
+            # the labeling kernel
+            pytest.param(lambda b: search_labeling(cycle_graph(4), parse_group_spec("Z2xZ2"), b), id="labeling-C4-Z2xZ2"),
+            pytest.param(lambda b: search_labeling(cycle_graph(4), parse_group_spec("Z4"), b), id="labeling-C4-Z4"),
         ],
     )
     def test_every_budget(self, search):
@@ -198,6 +228,10 @@ class TestSearchLabeling:
     def test_k2_z2_nonexistence(self):
         report = search_labeling(complete_graph(2), GroupSpec((2,)))
         assert not report.found and report.exhausted
+
+    def test_order_mismatch(self):
+        with pytest.raises(ParameterError, match="graph order 4 does not match group order 6"):
+            search_labeling(cycle_graph(4), GroupSpec((6,)))
 
     def test_obstructed_instances_come_back_empty(self):
         # odd-regular graph with a single-involution group, order 8
@@ -303,6 +337,22 @@ class TestConjectureScan:
             conjecture_scan(spec, (3, 3))
         with pytest.raises(ParameterError):
             conjecture_scan(GroupSpec((6,)), (5,))
+
+    def test_order_cap(self):
+        # Z2xZ2xZ8 qualifies, with seven involutions, but is past the cap
+        with pytest.raises(ParameterError, match="capped at order 24"):
+            conjecture_scan(GroupSpec((2, 2, 8)), (3,) * 9 + (4,))
+
+    @pytest.mark.parametrize(
+        "bad", [(2, 0, 0), (0, -1, 0), (0, 1), (0, 0, 1, 0)], ids=["unreduced", "negative", "short", "long"]
+    )
+    def test_sized_partition_element_outside_the_group(self, bad):
+        # an element that is not a reduced element of the group is named as written
+        spec = GroupSpec((2, 2, 2))
+        blocks = ((bad, (0, 1, 0), (0, 1, 1)), ((1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1)))
+        check = verify_sized_partition(spec, blocks, (3, 4))
+        assert (check.ok, check.row) == (False, 0)
+        assert check.reason == f"block 0 contains {format_element(bad)} outside the universe"
 
     def test_driver_to_order_12(self):
         rows = list(scan_conjecture(12))

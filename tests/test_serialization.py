@@ -33,6 +33,7 @@ from zsmagic import (
     parse_group_spec,
     partition_from_text,
     partition_to_text,
+    path_graph,
     search_kotzig,
     search_labeling,
     search_zsp,
@@ -94,6 +95,11 @@ class TestBijectionText:
         with pytest.raises(GroupSpecError):
             bijection_from_text("\n".join(lines[:-1]) + "\n")
 
+    def test_rows_must_cover_the_group(self):
+        # the right row count, but element 1 opens two rows and element 2 none
+        with pytest.raises(GroupSpecError, match="do not cover the group"):
+            bijection_from_text("bijection Z3\n0 0 0\n1 1 1\n1 2 0\n")
+
 
 class TestArrayText:
     def test_group_roundtrip(self):
@@ -138,6 +144,18 @@ class TestGraphText:
         assert (g.n, g.edge_count) == (200000, 0)
         assert peak < 16 * 2**20
 
+    def test_comments_and_blank_lines_ignored(self):
+        assert graph_from_text("# a path\n\np 3\n  \ne 0 1\n# middle\ne 1 2\n") == path_graph(3)
+
+    def test_second_vertex_count_line(self):
+        with pytest.raises(GroupSpecError, match="line 3: duplicate vertex-count line"):
+            graph_from_text("p 3\ne 0 1\np 3\n")
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    def test_missing_vertex_count_line(self, text):
+        with pytest.raises(GroupSpecError, match="missing 'p <vertex-count>' line"):
+            graph_from_text(text)
+
     def test_vertex_count_bounded(self):
         # refused before any adjacency set is allocated
         with pytest.raises(GroupSpecError, match="exceeds the bound"):
@@ -158,6 +176,16 @@ class TestLabelingText:
     )
     def test_malformed_is_group_spec_error(self, text):
         with pytest.raises(GroupSpecError):
+            labeling_from_text(text)
+
+    @pytest.mark.parametrize(
+        "text, vertex",
+        [("labeling Z3\n0\t0\n0\t1\n2\t2\n", 0), ("labeling Z3\n0\t0\n1\t1\n3\t2\n", 3),
+         ("labeling Z3\n0\t0\n-1\t1\n2\t2\n", -1)],
+        ids=["repeated", "past-the-order", "negative"],
+    )
+    def test_bad_or_repeated_vertex(self, text, vertex):
+        with pytest.raises(GroupSpecError, match=f"bad or repeated vertex {vertex}$"):
             labeling_from_text(text)
 
     def test_missing_vertex_rejected(self):
@@ -351,6 +379,14 @@ def _edited_certificate(draw):
         else:
             tokens[pos:pos + 1] = [draw(st.sampled_from(pool))]
     return parse, "\n".join(sep.join(ln) for sep, ln in zip(seps, lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "header", ["partition-sizes Z2xZ2 m=3", "partition-sizes Z2xZ2 sizes=3,x", "partition-sizes Z2xZ2 sizes="]
+)
+def test_sized_partition_header_needs_integer_sizes(header):
+    with pytest.raises(GroupSpecError, match="header needs sizes="):
+        sized_partition_from_text(f"{header}\n(0,1) (1,0) (1,1)\n")
 
 
 @pytest.mark.parametrize(

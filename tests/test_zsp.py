@@ -260,6 +260,13 @@ class TestVerifyZsp:
         blocks = [[(0,), (1,), (8,)], [(1,), (3,), (5,)], [(2,), (6,), (7,)]]
         assert not verify_zsp(spec, indices(spec, blocks), 3).ok
 
+    @pytest.mark.parametrize("bad", [-1, 3, 5])
+    def test_rejects_an_index_outside_the_group(self, bad):
+        # rejected as a result, with the index named as written: it is no element to format
+        check = verify_zsp(GroupSpec((3,)), [(bad, 0, 1)], 3)
+        assert (check.ok, check.row) == (False, 0)
+        assert check.reason == f"block 0 contains index {bad} outside the universe"
+
 
 class TestZspEven:
     def test_klein_four_whole_group(self):
@@ -308,6 +315,11 @@ class TestZspOdd:
         part = zsp_odd(spec, 3)
         assert len(part.blocks) == 4
         assert verify_zsp(spec, part, 3).ok
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_block_size_must_be_odd_and_at_least_three(self, m):
+        with pytest.raises(ParameterError, match="odd and >= 3"):
+            zsp_odd(GroupSpec((9,)), m)
 
     def test_z6_refused(self):
         with pytest.raises(NonexistenceError):
