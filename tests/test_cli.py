@@ -414,7 +414,6 @@ class TestVerifyExitCodes:
             pytest.param("labeling Z3\nx\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-vertex-not-integer"),
             pytest.param("labeling Z3 extra\n0\t1\n1\t0\n2\t2\n", EXIT_INVALID, id="labeling-header-too-long"),
             pytest.param("labeling\n0\t1\n", EXIT_INVALID, id="labeling-header-too-short"),
-            pytest.param("", EXIT_INVALID, id="empty-file"),
             pytest.param("# only a comment\n\n", EXIT_INVALID, id="comments-only"),
         ],
     )
