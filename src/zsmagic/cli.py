@@ -258,7 +258,7 @@ def _handle_scan(args):
     }
     text = "".join(
         f"# {r['group']} sizes={','.join(str(s) for s in r['sizes'])}: "
-        f"{'found' if r['found'] else 'NOT FOUND'} nodes={r['nodes']}\n"
+        f"{'found' if r['found'] else 'NOT FOUND' if r['exhausted'] else 'budget spent'} nodes={r['nodes']}\n"
         for r in rows
     )
     text += (

@@ -41,8 +41,7 @@ class Graph:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ParameterError("vertex count must be nonnegative")
-        self.n = n
-        # only vertices with an edge get a set; isolated ones share the empty tuple
+        # only vertices with an edge get a set; equal neighbourhoods share one tuple
         adj: defaultdict[int, set[int]] = defaultdict(set)
         for u, v in edges:
             u, v = int(u), int(v)
@@ -52,10 +51,14 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u} not allowed")
             adj[u].add(v)
             adj[v].add(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(adj.get(v, ()))) for v in range(n)
-        )
-        self.degrees: tuple[int, ...] = tuple(len(a) for a in self.adj)
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        nbrs = (tuple(sorted(adj.get(v, ()))) for v in range(n))
+        self._adopt(tuple(shared.setdefault(a, a) for a in nbrs))
+
+    def _adopt(self, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """Take sorted, symmetric, loop-free neighbourhoods as they are."""
+        self.n, self.adj, self.degrees = len(adj), adj, tuple(map(len, adj))
+        return self
 
     def edges(self):
         for u in range(self.n):
@@ -148,9 +151,7 @@ class Graph:
         return _sides(oriented)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count})"
@@ -188,18 +189,17 @@ def lex_product(g: Graph, h: Graph) -> Graph:
     """Blow up each vertex of g into a copy of h.
 
     Vertex (u, v) sits at index u * |h| + v; (u, v) ~ (x, y) iff u ~ x in
-    g, or u = x and v ~ y in h.
+    g, or u = x and v ~ y in h.  The vertices of fibre u that are isolated
+    in h share one neighbourhood tuple: the fibres of u's neighbours in g.
     """
     nh = h.n
-    edges = []
-    for u, x in g.edges():
-        for v in range(nh):
-            for y in range(nh):
-                edges.append((u * nh + v, x * nh + y))
-    for u in range(g.n):
-        for v, y in h.edges():
-            edges.append((u * nh + v, u * nh + y))
-    return Graph(g.n * nh, edges)
+    adj = []
+    for u, nbrs in enumerate(g.adj):
+        # g's neighbourhoods are sorted, so the fibres follow in ascending order
+        fibre = tuple(chain.from_iterable(range(x * nh, x * nh + nh) for x in nbrs))
+        for inner in h.adj:
+            adj.append(tuple(sorted(fibre + tuple(u * nh + y for y in inner))) if inner else fibre)
+    return Graph.__new__(Graph)._adopt(tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -235,12 +235,14 @@ class Verdict:
 
 
 def weights(g: Graph, labeling: Labeling) -> list[Element]:
-    """Open-neighborhood label sums, each summed once from a ``PackedTable`` and
-    each distinct sum reduced once; empty neighborhoods weigh the identity."""
+    """Open-neighborhood label sums from a ``PackedTable``, each distinct neighborhood
+    tuple summed once and each distinct sum reduced once; empty ones weigh the identity."""
     packed = PackedTable(labeling.spec, max(g.degrees, default=0))
     labels = list(map(packed.table.__getitem__, labeling.assignment))
-    sums = [sum(map(labels.__getitem__, adj)) for adj in g.adj]
-    return list(map({s: packed.element(s) for s in set(sums)}.__getitem__, sums))
+    distinct = {id(adj): adj for adj in g.adj}  # g.adj holds every tuple, so no id is reused
+    sums = {i: sum(map(labels.__getitem__, adj)) for i, adj in distinct.items()}
+    element = {s: packed.element(s) for s in set(sums.values())}
+    return [element[sums[id(adj)]] for adj in g.adj]
 
 
 def verify_labeling(g: Graph, labeling: Labeling) -> Verdict:
@@ -341,8 +343,7 @@ def eulerian_bipartite_label(g: Graph, n_odd: int, spec: GroupSpec) -> Labeling:
     assignment = [0] * spec.order
     for side, offset in ((v1, 0), (v2, odd_spec.order)):
         for u, block in zip(side, partition.blocks):
-            for t, a in enumerate(block):
-                assignment[u * n_odd + t] = merged[offset + a]
+            assignment[u * n_odd : u * n_odd + n_odd] = [merged[offset + a] for a in block]
     return Labeling(spec, tuple(assignment))
 
 
@@ -369,8 +370,7 @@ def bipartite_blowup_exists(g: Graph, n: int) -> bool:
 
 def graph_to_text(g: Graph) -> str:
     lines = [f"p {g.n}"]
-    for u, v in g.edges():
-        lines.append(f"e {u} {v}")
+    lines += (f"e {u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 

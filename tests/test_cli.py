@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from zsmagic.cli import (
     EXIT_REJECT,
     main,
 )
-from zsmagic.oracle import conjecture_scan, report_to_text, sized_partition_to_text
+from zsmagic.oracle import SearchReport, conjecture_scan, report_to_text, sized_partition_to_text
 
 K4_GRAPH = "p 4\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 P3_GRAPH = "p 3\ne 0 1\ne 1 2\n"
@@ -174,6 +175,19 @@ class TestLabel:
         assert code == EXIT_OK
         assert out == "accept: labeling\n"
 
+    def test_blowup_memory_is_linear_in_the_order(self, capsys, tmp_path):
+        # C4 o K̄_1024 has 2,097,152 edges; the label path holds one neighbourhood per fibre instead
+        graph = tmp_path / "c4.graph"
+        graph.write_text(C4_GRAPH)
+        tracemalloc.start()
+        try:
+            code = main(["label", "blowup", str(graph), "1024", "Z2xZ2xZ1024"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and capsys.readouterr().out.endswith("# status: magic\n# magic constant: (0,0,0)\n")
+        assert peak <= 16 * 2**20
+
 
 class TestSearchAndScan:
     def test_search_found(self, capsys):
@@ -282,6 +296,27 @@ class TestSearchAndScan:
         rows = json.loads(out)["instances"]
         assert rows and all(row["nodes"] <= 2 for row in rows)
         assert any(not row["exhausted"] for row in rows)
+
+    def test_scan_rows_tell_a_cut_from_a_proof(self, capsys):
+        # a row reads NOT FOUND only when its search ran out, so a budget cut never looks like a counterexample
+        code, out, _ = run(capsys, "scan", "16", "--budget", "1")
+        _, doc, _ = run(capsys, "--json", "scan", "16", "--budget", "1")
+        rows = json.loads(doc)["instances"]
+        words = [line.split(": ", 1)[1].rsplit(" nodes=", 1)[0] for line in out.splitlines() if line.startswith("# ")]
+        assert code == EXIT_BUDGET and "budget spent" in words and "NOT FOUND" not in words
+        assert words == ["found" if r["found"] else "NOT FOUND" if r["exhausted"] else "budget spent" for r in rows]
+
+    def test_scan_counterexample_row(self, capsys, monkeypatch):
+        spec = parse_group_spec("Z2xZ2xZ2")
+        reports = [SearchReport(True, True, 3), SearchReport(False, True, 9)]
+        monkeypatch.setattr("zsmagic.oracle.scan_conjecture", lambda *_: [(spec, (3, 4), r) for r in reports])
+        code, out, _ = run(capsys, "scan", "8")
+        assert code == EXIT_REJECT
+        assert out == (
+            "# Z2xZ2xZ2 sizes=3,4: found nodes=3\n"
+            "# Z2xZ2xZ2 sizes=3,4: NOT FOUND nodes=9\n"
+            "scanned 2 instances up to order 8; counterexamples: 1\n"
+        )
 
     @pytest.mark.parametrize(
         "max_order, code, rows",

@@ -1,5 +1,7 @@
 import pytest
 from conftest import indices
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsmagic import (
     Graph,
@@ -108,6 +110,35 @@ class TestLexProduct:
         for u in range(g.n):
             for v in range(h.n):
                 assert prod.degrees[u * h.n + v] == h.n * g.degrees[u] + h.degrees[v]
+
+    def test_fibre_shares_one_neighbourhood(self):
+        g = lex_product(cycle_graph(4), empty_graph(3))
+        assert g.adj[0] is g.adj[1] is g.adj[2] == (3, 4, 5, 9, 10, 11)
+        # a vertex with neighbours inside its fibre gets its own tuple; the others keep the shared one
+        g = lex_product(cycle_graph(4), Graph(3, [(0, 1)]))
+        assert g.adj[0] == (1, 3, 4, 5, 9, 10, 11) and g.adj[2] == (3, 4, 5, 9, 10, 11)
+        c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert c4.adj[0] is c4.adj[2] and c4.adj[1] is c4.adj[3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_definition(self, data):
+        n = data.draw(st.integers(1, 7), label="base order")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # a subset of pairs: vertices left out of every pair stay isolated
+        g = Graph(n, data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])))
+        m = data.draw(st.integers(1, 5), label="fibre order")
+        inner = [(v, y) for v in range(m) for y in range(v + 1, m)]
+        h = Graph(m, data.draw(st.lists(st.sampled_from(inner), unique=True) if inner else st.just([])))
+        edges = [(u * m + v, x * m + y) for u, x in g.edges() for v in range(m) for y in range(m)]
+        edges += [(u * m + v, u * m + y) for u in range(n) for v, y in h.edges()]
+        expected = Graph(n * m, edges)
+        product = lex_product(g, h)
+        assert (product.n, product.adj, product.degrees) == (expected.n, expected.adj, expected.degrees)
+        spec = parse_group_spec(f"Z{n * m}")
+        lab = Labeling(spec, tuple(data.draw(st.permutations(range(n * m)), label="labels")))
+        by_vertex = [spec.sum(spec.element_at(lab.assignment[x]) for x in nbrs) for nbrs in expected.adj]
+        assert weights(product, lab) == weights(expected, lab) == by_vertex
 
 
 class TestVerifyLabeling:
