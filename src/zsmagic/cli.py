@@ -8,10 +8,17 @@ the parsers ignore), so output can be piped to a file and re-checked with
 
 Exit codes: 0 success or accepted certificate, 1 rejected certificate or
 scan counterexample, 2 invalid input, 3 proven nonexistence or
-obstruction, 4 search budget exhausted.  ``--json`` switches to a single
-machine-readable document per invocation; identical invocations produce
-byte-identical documents.  Each verb's handler returns its exit code, its
-document and its text, and ``main`` writes one of the two in one call.
+obstruction, 4 search budget exhausted.  ``scan`` exits 1 when any row
+is a counterexample, else 4 when the budget cut any row, else 0.
+``--json`` switches to a single machine-readable document per invocation;
+identical invocations produce byte-identical documents.  Each verb's
+handler returns its exit code, its document and its text, and ``main``
+writes one of the two in one call.
+
+Each handler imports the modules only its verb uses: ``info``, ``zsp`` and
+``bijection`` load ``groups`` and ``zsp``, ``kotzig`` adds ``kotzig``,
+``label`` adds ``graphs``, and ``verify``, ``search`` and ``scan`` load the
+``oracle`` and with it every module.
 """
 
 from __future__ import annotations
@@ -21,9 +28,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import graphs, kotzig, oracle
 from .errors import NonexistenceError, ParameterError, ZsmagicError
 from .groups import (
+    DEFAULT_BUDGET,
     canonical_factors,
     checked,
     format_element,
@@ -98,6 +105,7 @@ def _handle_bijection(args):
 
 
 def _handle_kotzig(args):
+    from . import kotzig
     # build_group_kotzig and build_int_kotzig verify the array and raise on failure
     if args.int_mode:
         try:
@@ -124,6 +132,7 @@ def _handle_kotzig(args):
 
 
 def _handle_label(args):
+    from . import graphs
     base = graphs.graph_from_text(Path(args.graphfile).read_text())
     spec = parse_group_spec(args.group)
     if args.kind == "blowup":
@@ -150,6 +159,7 @@ def _handle_label(args):
 
 
 def _verify_payload(text: str, graph_path: str | None):
+    from . import graphs, oracle
     word, witness, verify = oracle.certificate_from_text(text)
     if witness is None:
         return word, True, "no witness to check"
@@ -197,6 +207,7 @@ def _check_budget(budget: int) -> None:
 
 
 def _handle_search(args):
+    from . import graphs, oracle
     expected = _SEARCH_ARGS[args.kind]
     if len(args.args) != len(expected):
         raise ParameterError(
@@ -233,28 +244,31 @@ def _handle_search(args):
 
 
 def _handle_scan(args):
+    from . import oracle
     _check_budget(args.budget)
-    rows = []
-    exit_code = EXIT_OK
-    for spec, sizes, report in oracle.scan_conjecture(args.max_order, args.budget):
-        rows.append(
-            {
-                "group": str(spec),
-                "sizes": list(sizes),
-                "found": report.found,
-                "exhausted": report.exhausted,
-                "nodes": report.nodes,
-            }
-        )
-        if not report.exhausted:
-            exit_code = max(exit_code, EXIT_BUDGET)
-        elif not report.found:
-            exit_code = EXIT_REJECT  # counterexample to the partition conjecture
+    rows = [
+        {
+            "group": str(spec),
+            "sizes": list(sizes),
+            "found": report.found,
+            "exhausted": report.exhausted,
+            "nodes": report.nodes,
+        }
+        for spec, sizes, report in oracle.scan_conjecture(args.max_order, args.budget)
+    ]
+    # counterexamples to the partition conjecture outrank budget cuts, whatever the row order
+    counterexamples = [r for r in rows if r["exhausted"] and not r["found"]]
+    if counterexamples:
+        exit_code = EXIT_REJECT
+    elif all(r["exhausted"] for r in rows):
+        exit_code = EXIT_OK
+    else:
+        exit_code = EXIT_BUDGET
     doc = {
         "command": "scan",
         "max_order": args.max_order,
         "instances": rows,
-        "counterexamples": [r for r in rows if r["exhausted"] and not r["found"]],
+        "counterexamples": counterexamples,
     }
     text = "".join(
         f"# {r['group']} sizes={','.join(str(s) for s in r['sizes'])}: "
@@ -312,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(_SEARCH_ARGS))
     p.add_argument("args", nargs="+")
     p.add_argument("--int", dest="int_mode", action="store_true")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_handle_search)
 
     p = sub.add_parser("scan", help="zero-sum partition conjecture scan")
     p.add_argument("max_order", type=int)
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_handle_scan)
 
     return parser

@@ -51,6 +51,9 @@ class Graph:
                 raise ParameterError(f"loop at vertex {u} not allowed")
             adj[u].add(v)
             adj[v].add(u)
+        if not adj:  # edgeless: every vertex has the one empty tuple
+            self._adopt(((),) * n)
+            return
         shared: dict[tuple[int, ...], tuple[int, ...]] = {}
         nbrs = (tuple(sorted(adj.get(v, ()))) for v in range(n))
         self._adopt(tuple(shared.setdefault(a, a) for a in nbrs))

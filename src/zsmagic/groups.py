@@ -29,6 +29,9 @@ Element = tuple[int, ...]
 #: Largest group order (and integer column count) that anything is built for.
 DEFAULT_ORDER_BOUND = 1 << 20
 
+#: Node budget of every oracle search unless the caller gives one.
+DEFAULT_BUDGET = 10**7
+
 _TOKEN_RE = re.compile(r"[zZ]([0-9]+)")
 
 

@@ -59,6 +59,7 @@ from operator import contains, mul
 from .errors import GroupSpecError, ParameterError
 from .graphs import Graph, Labeling, labeling_from_text, labeling_to_text, verify_labeling
 from .groups import (
+    DEFAULT_BUDGET,
     Check,
     GroupSpec,
     _partitions,
@@ -92,8 +93,6 @@ from .zsp import (
     verify_triple_bijection,
     verify_zsp,
 )
-
-DEFAULT_BUDGET = 10**7
 
 ZSP_ORDER_CAP = 24
 KOTZIG_CELL_CAP = 48

@@ -427,7 +427,8 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     x (odd part), and a triple bijection of the 2-part times the identity
     on the odd part is one of the whole group: the ladder runs on the
     2-part only, and its phi is carried to the group through the split by
-    one gather per odd residue.  Strategy order on the 2-part:
+    one gather per odd residue; a 2-group is its own 2-part and takes the
+    ladder's phi as it is.  Strategy order on the 2-part:
     componentwise product of two admissible parts, seed tables, the two
     quotient liftings, the two-factor doubling construction.  Each rung
     builds phi only, since psi(g) = -g - phi(g) is forced.
@@ -440,6 +441,9 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     if spec.order % 2 == 1:
         check_order(spec.order)
         return TripleBijection(spec, tuple(range(spec.order)), tuple(multiples(spec, -2)))
+    if spec.order & (spec.order - 1) == 0:
+        check_order(spec.order)
+        return _tb_from_phi(spec, _ladder_phi(spec))
     two_spec, odd_spec, codes, merged = two_part_tables(spec)
     ladder, n_odd = _ladder_phi(two_spec), odd_spec.order
     images = [0] * spec.order  # by code: the image of the element merged[code]

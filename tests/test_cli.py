@@ -318,6 +318,21 @@ class TestSearchAndScan:
             "scanned 2 instances up to order 8; counterexamples: 1\n"
         )
 
+    @pytest.mark.parametrize("cut_first", [True, False], ids=["cut-first", "counterexample-first"])
+    def test_scan_counterexample_outranks_a_cut(self, capsys, monkeypatch, cut_first):
+        # a counterexample exits 1 whether a budget-cut row comes before or after it
+        spec = parse_group_spec("Z2xZ2xZ2")
+        reports = [SearchReport(False, False, 2), SearchReport(False, True, 9)]
+        rows = [(spec, (3, 4), r) for r in (reports if cut_first else reports[::-1])]
+        monkeypatch.setattr("zsmagic.oracle.scan_conjecture", lambda *_: rows)
+        code, out, _ = run(capsys, "scan", "8")
+        assert code == EXIT_REJECT
+        assert sorted(out.splitlines()[:2]) == [
+            "# Z2xZ2xZ2 sizes=3,4: NOT FOUND nodes=9",
+            "# Z2xZ2xZ2 sizes=3,4: budget spent nodes=2",
+        ]
+        assert run(capsys, "--json", "scan", "8")[0] == EXIT_REJECT
+
     @pytest.mark.parametrize(
         "max_order, code, rows",
         [
