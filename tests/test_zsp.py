@@ -177,6 +177,17 @@ class TestTripleBijection:
             "44500c43a46049461416b96b26208e25fc989df8392f802b390752501ec86002"
         )
 
+    def test_pinned_rank_two_and_seed_bijections(self):
+        # every Z_m x Z_n with 2 <= m <= n powers of 2 up to order 2^14, the three seed
+        # tables and an odd order: the triple bijections that no rank-3 rung reaches
+        pairs = [(1 << a, 1 << b) for a in range(1, 14) for b in range(a, 14) if a + b <= 14]
+        assert len(pairs) == 49
+        factors = pairs + list(base_tables()) + [(5,)]
+        texts = [bijection_to_text(triple_bijection(GroupSpec(f))) for f in factors]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "25098e14e8b26a8608e30f5659692a0afb0cce14b486478b41621b1d16394b6f"
+        )
+
 
 class TestIndexSums:
     """The ladder's index arithmetic against ``GroupSpec.add`` and ``neg``, on
