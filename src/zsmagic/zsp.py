@@ -7,9 +7,10 @@ Three builders live here, each paired with an independent verifier:
   into runs of four.
 * ``triple_bijection`` produces permutations ``phi``, ``psi`` of the group
   with ``g + phi(g) + psi(g) = 0`` for every ``g``: the identity on the
-  odd part times a ladder on the 2-part of closed forms, fixed seed
-  tables for the three smallest three-factor 2-groups, two quotient
-  liftings and a doubling construction for two cyclic factors.
+  odd part times a ladder on the 2-part of closed forms: a product of
+  two parts for rank 4 or more, fixed seed tables for the three smallest
+  three-factor 2-groups and one doubling rung for every other 2-group of
+  rank 2 or 3.
 * ``zsp`` partitions the whole group into equal-size zero-sum blocks;
   it exists exactly when the order is odd, or the block size is at
   least 3 and the group has more than one involution.  Even block sizes
@@ -42,7 +43,6 @@ from .errors import (
 )
 from .groups import (
     Check,
-    Element,
     GroupSpec,
     PackedTable,
     check_order,
@@ -299,123 +299,70 @@ def _sorted_phi(spec: GroupSpec, phi_of_sorted) -> list[int]:
     return list(map(back.__getitem__, map(sorted_phi.__getitem__, to_sorted)))
 
 
-def _coset(spec: GroupSpec, mults, r: Element) -> list[int]:
-    """The indices of r + b for b in the subgroup H generated by the
-    mults[t] * e_t, in H's enumeration order.  Coordinate t of b is mults[t]
-    times its digit in H, so this is an outer sum of one table per coordinate."""
-    tables = zip(spec.factors, spec.strides, mults, r)
-    return outer_sum([(m * d + x) % f * s for d in range(f // m)] for f, s, m, x in tables)
+def _doubling_phi(factors: tuple[int, ...]) -> list[int]:
+    """phi for a 2-group Z_f0 x ... x Z_fk of rank 2 or 3, its factors sorted
+    ascending; the recursion halves the last factor, so the head stays sorted.
 
+    Base case Z_m x Z_m: (x, y) -> (y, x + y).  Both the map and its sum
+    with the identity are linear with unit determinant mod m, so phi and
+    g -> g + phi(g) are bijections.  A last factor 1 drops to the head,
+    whose enumeration is the same.
 
-def _coset_phi(spec: GroupSpec, mults, pairs, phi: list[int]) -> None:
-    """Fill phi on cosets of the subgroup H generated by the mults[t] * e_t.
+    Doubling step, for G = A x Z_n with n even and A the head: embed
+    H = A x Z_{n/2} as the even last coordinates (h has index i in H, 2i
+    here) and take H's map u, a triple bijection since -h - u(h) runs over
+    H.  Let chi(h) be the parity of h's first coordinate, a homomorphism
+    H -> Z2 since f_0 is even, and delta the unit vector of that
+    coordinate, so chi(delta) = 1; with c = (0, ..., 0, 1), 2c lies in H
+    and chi(2c) = 0, since the first coordinate is not the last.  Split H
+    along S = {h : chi(h + u(h)) = 0}:
 
-    With phi0, psi0 a triple bijection of H from its ladder, and for each pair
-    (r0, r1) of ``pairs``, the triple t0 = r0 + b, t1 = r1 + phi0(b),
-    t2 = -(r0 + r1) + psi0(b) = -(t0 + t1) sums to zero for each b in H, and
-    each entry runs over its coset as b runs over H; phi maps each entry to
-    the next one.  The pair (0, 0) puts phi0 itself on H.
+    * h in S: phi(h) = u(h) and phi(c + h) = u(h) + delta + c;
+    * h not in S: phi(h) = u(h) + delta + c and phi(c + h) = u(h).
+
+    phi sends the pair h, c + h onto u(h) and u(h) + delta + c, so it is a
+    bijection.  The sums g + phi(g) are h + u(h) and h + u(h) + delta + 2c
+    over S, which fill the halves chi = 0 and chi = 1 of H, and
+    h + u(h) + delta + c and c + h + u(h) off S, which fill the halves
+    chi = 1 and chi = 0 of c + H.  So g -> -g - phi(g) is a bijection too.
+    In indices, delta is the stride order // f_0 of the first coordinate and
+    chi(h) the parity of i // (|H| // f_0).
+
+    Every 2-group with more than one involution has a triple bijection,
+    since one is a complete mapping (Hall and Paige, Pacific J. Math. 5,
+    1955); this step builds one for rank 2 and 3 from Z_m x Z_m.
     """
-    sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-    phi0, psi0 = _ladder_phi(sub), None
-    for r0, r1 in pairs:
-        t0, t1 = _coset(spec, mults, r0), _coset(spec, mults, r1)
-        t1 = list(map(t1.__getitem__, phi0))
-        cycle = [(t0, t1)]
-        if any(r0 + r1):
-            psi0 = psi0 or _tb_from_phi(sub, phi0).psi
-            t2 = _coset(spec, mults, spec.neg(spec.add(r0, r1)))
-            t2 = list(map(t2.__getitem__, psi0))
-            cycle += [(t1, t2), (t2, t0)]
-        for keys, values in cycle:
-            for a, b in zip(keys, values):
-                phi[a] = b
-
-
-def _unit(pos: int, value: int = 1) -> Element:
-    e = [0, 0, 0]
-    e[pos] = value
-    return tuple(e)
-
-
-def _quotient22_phi(spec: GroupSpec) -> list[int]:
-    """Lift through an index-4 subgroup with quotient Z2 x Z2.
-
-    Applies to three-factor 2-groups whose two largest exponents are at
-    least 2.  Representatives are 0, c, d, -c-d with c, d unit vectors in
-    the two halved coordinates; the three nontrivial cosets are matched
-    into zero-sum triples {c+b, d+phi0(b), -c-d+psi0(b)}.
-    """
-    _, pb, pc = sorted(range(3), key=lambda i: (spec.factors[i], i))
-    mults = [2 if i in (pb, pc) else 1 for i in range(3)]
-    phi = [0] * spec.order
-    _coset_phi(spec, mults, [(spec.identity(),) * 2, (_unit(pb), _unit(pc))], phi)
-    return phi
-
-
-def _quotient8_phi(spec: GroupSpec) -> list[int]:
-    """Lift through an index-8 subgroup with cyclic quotient Z8.
-
-    Applies to Z2 x Z2 x Z2^k with k >= 4 (any coordinate order).  The
-    quotient splits as {0,4} u {1,2,5} u {7,6,3}; the first part stays
-    inside the intermediate subgroup, the two residue triples turn into
-    zero-sum element triples that phi rotates in opposite directions.
-    """
-    pz = max(range(3), key=lambda i: (spec.factors[i], i))
-    c, d = _unit(pz, 1), _unit(pz, 2)
-    phi = [0] * spec.order
-    _coset_phi(spec, [4 if i == pz else 1 for i in range(3)], [(spec.identity(),) * 2], phi)
-    _coset_phi(spec, [8 if i == pz else 1 for i in range(3)], [(c, d), (spec.neg(c), spec.neg(d))], phi)
-    return phi
-
-
-def _sorted_two_factor_phi(factors: tuple[int, int]) -> list[int]:
-    """phi for Z_m x Z_n (m <= n, both powers of 2, m >= 2).
-
-    Base case m = n: (x, y) -> (y, x + y).  Both the map and its sum with
-    the identity are linear with unit determinant mod m, so phi and
-    g -> g + phi(g) are bijections.
-
-    Doubling step: embed H = Z_m x Z_{n/2} as the even second coordinates
-    (h has index i in H, 2h index 2i here), take H's map u recursively, and
-    split both cosets of H along S = {h : h + u(h) has even first
-    coordinate}.  On S the H-coset keeps u and the other coset c + H, c =
-    (0, 1), uses u shifted by delta = (1, 0) pushed across; off S the roles
-    swap.  The shift lands each piece's sums in complementary halves, so
-    g -> -g - phi(g) stays bijective.
-    """
-    m, n = factors
-    if m == n:
+    if len(factors) == 2 and factors[0] == factors[1]:
+        m = factors[0]
         return [y * m + (x + y) % m for x in range(m) for y in range(m)]
-    half = n // 2
-    u = _sorted_two_factor_phi((m, half))
+    *head, n = factors
+    if n == 1:
+        return _doubling_phi(tuple(head))
+    u = _doubling_phi((*head, n // 2))
+    order = 2 * len(u)
+    delta, block = order // factors[0], len(u) // factors[0]
     straight = [2 * v for v in u]
-    shifted = [(2 * v + n) % (m * n) + 1 for v in u]
-    in_s = [(i // half + v // half) % 2 == 0 for i, v in enumerate(u)]
-    phi = [0] * (m * n)
+    shifted = [(2 * v + delta) % order + 1 for v in u]
+    in_s = [(i // block + v // block) % 2 == 0 for i, v in enumerate(u)]
+    phi = [0] * order
     phi[0::2] = [a if k else b for a, b, k in zip(straight, shifted, in_s)]
     phi[1::2] = [b if k else a for a, b, k in zip(straight, shifted, in_s)]
     return phi
 
 
 def _ladder_phi(spec: GroupSpec) -> list[int]:
-    """Strategy ladder on a 2-group presentation of rank >= 2 known to admit
-    a solution: odd orders never reach it, the quotient lifts keep rank 3
-    and the product rung splits off two parts of rank >= 2."""
-    k = spec.arity
-    if k >= 4:
-        # a 2-group of rank >= 4: Z_f0 x Z_f1 times the rest, both of rank >= 2
+    """Strategy ladder on a 2-group presentation of rank >= 2, which always
+    admits a solution (odd orders never reach it): the product rung splits
+    rank >= 4 into two parts of rank >= 2, the seed tables take their three
+    groups and one doubling rung takes every other group of rank 2 or 3."""
+    if spec.arity >= 4:
+        # Z_f0 x Z_f1 times the rest, both of rank >= 2
         phi_b = _ladder_phi(GroupSpec(spec.factors[2:]))
         n_b = len(phi_b)
         return [a * n_b + b for a in _ladder_phi(GroupSpec(spec.factors[:2])) for b in phi_b]
-    if k == 3:
-        exps = sorted(f.bit_length() - 1 for f in spec.factors)
-        if exps[0] == 1 and exps[1] == 1 and exps[2] <= 3:
-            return _sorted_phi(spec, lambda factors: list(base_tables()[factors].phi))
-        if exps[1] >= 2:
-            return _quotient22_phi(spec)
-        return _quotient8_phi(spec)
-    return _sorted_phi(spec, _sorted_two_factor_phi)
+    if tuple(sorted(spec.factors)) in base_tables():
+        return _sorted_phi(spec, lambda factors: list(base_tables()[factors].phi))
+    return _sorted_phi(spec, _doubling_phi)
 
 
 def triple_bijection(spec: GroupSpec) -> TripleBijection:
@@ -429,9 +376,9 @@ def triple_bijection(spec: GroupSpec) -> TripleBijection:
     2-part only, and its phi is carried to the group through the split by
     one gather per odd residue; a 2-group is its own 2-part and takes the
     ladder's phi as it is.  Strategy order on the 2-part:
-    componentwise product of two admissible parts, seed tables, the two
-    quotient liftings, the two-factor doubling construction.  Each rung
-    builds phi only, since psi(g) = -g - phi(g) is forced.
+    componentwise product of two admissible parts, seed tables, the
+    doubling rung.  Each rung builds phi only, since psi(g) = -g - phi(g)
+    is forced.
     """
     if not in_class_g(spec):
         raise NonexistenceError(

@@ -15,6 +15,7 @@ from zsmagic import (
     NonexistenceError,
     ParameterError,
     base_tables,
+    build_group_kotzig,
     build_int_kotzig,
     bijection_to_text,
     in_class_g,
@@ -24,6 +25,7 @@ from zsmagic import (
     partition_to_text,
     search_triple_bijection,
     triple_bijection,
+    verify_kotzig,
     verify_triple_bijection,
     verify_zsp,
     zsp,
@@ -31,7 +33,7 @@ from zsmagic import (
     zsp_odd,
 )
 from zsmagic.groups import abelian_groups_up_to, multiples, two_part_split
-from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8, _coset, _tb_from_phi
+from zsmagic.zsp import RESIDUE_TRIPLES_2_2_8, _tb_from_phi
 
 
 class TestSeedTables:
@@ -162,10 +164,29 @@ class TestTripleBijection:
             if in_class_g(spec):
                 assert verify_triple_bijection(triple_bijection(spec)).ok, spec
 
+    def test_doubling_rung_on_every_rank_three_two_group_up_to_2_14(self):
+        # every rank-3 2-group class outside the seed tables, past the order-64 sweeps;
+        # to order 1024 also the odd-m partition and odd-j array of its product with Z3
+        classes = [
+            (1 << a, 1 << b, 1 << c)
+            for a in range(1, 13)
+            for b in range(a, 13)
+            for c in range(b, 13)
+            if a + b + c <= 14 and (1 << a, 1 << b, 1 << c) not in base_tables()
+        ]
+        assert len(classes) == 80
+        for factors in classes:
+            spec = GroupSpec(factors)
+            assert verify_triple_bijection(triple_bijection(spec)).ok, factors
+            if spec.order <= 1024:
+                spec3 = GroupSpec(factors + (3,))
+                assert verify_zsp(spec3, zsp(spec3, 3), 3).ok, factors
+                assert verify_kotzig(build_group_kotzig(spec3, 3)).ok, factors
+
     def test_pinned_bijections(self):
         # every coordinate order reaches the ladder with another enumeration;
-        # the larger groups reach the quotient liftings, the doubling
-        # construction at depth and the product of three 2-parts
+        # the larger groups reach the doubling rung at depth and the product
+        # of three 2-parts
         orders = {
             (s.order, p) for s in abelian_groups_up_to(64) if in_class_g(s) for p in permutations(s.factors)
         }
@@ -205,25 +226,6 @@ class TestIndexSums:
         psi = _tb_from_phi(spec, phi).psi
         for i, j in enumerate(phi):
             assert psi[i] == spec.index_of(spec.neg(spec.add(spec.element_at(i), spec.element_at(j))))
-
-    @given(group_specs(max_order=96, max_factors=4), st.data())
-    @example(GroupSpec(()), None)
-    @example(GroupSpec((6, 2)), None)
-    @example(GroupSpec((9,)), None)
-    @example(GroupSpec((3, 5, 2)), None)
-    @settings(max_examples=60)
-    def test_coset_is_a_shifted_subgroup(self, spec, data):
-        divisors = [[m for m in range(1, f // 2 + 1) if f % m == 0] for f in spec.factors]
-        if data:
-            mults = [data.draw(st.sampled_from(ms)) for ms in divisors]
-            r = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
-        else:
-            mults, r = [ms[-1] for ms in divisors], spec.element_at(spec.order - 1)
-        sub = GroupSpec(tuple(f // m for f, m in zip(spec.factors, mults)))
-        coset = _coset(spec, mults, r)
-        assert len(coset) == sub.order
-        for j, b in enumerate(sub.elements()):
-            assert coset[j] == spec.index_of(spec.add(r, [x * m for x, m in zip(b, mults)]))
 
     def test_psi_is_minus_g_minus_phi_in_every_factor_order(self):
         for spec in abelian_groups_up_to(64):
