@@ -195,7 +195,7 @@ class TestTripleBijection:
         assert len(factors) == 207
         texts = [bijection_to_text(triple_bijection(GroupSpec(f))) for f in factors]
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-            "44500c43a46049461416b96b26208e25fc989df8392f802b390752501ec86002"
+            "a37e9a89ab4c2d026dafaa2eb91e0e6802e2cf42decfa25c5297aea97883cfe1"
         )
 
     def test_pinned_rank_two_and_seed_bijections(self):
