@@ -24,9 +24,8 @@ for factors, tb in base_tables().items():
     print(f"seed table {factors}: {verify_triple_bijection(tb)}")
 
 # Everything else reduces to the 2-part, with the identity on the odd part:
-# 2-groups of rank 4 or more split into products, three-factor 2-groups lift
-# through index-4 or index-8 subgroups, and two-factor 2-groups use a
-# doubling construction.
+# 2-groups of rank 4 or more split into products, and every other 2-group of
+# rank 2 or 3 doubles its last factor up from Z_m x Z_m.
 for text in ("Z2xZ2xZ3", "Z2xZ2xZ16", "Z4xZ4xZ4", "Z4xZ4", "Z2xZ32", "Z15"):
     spec = parse_group_spec(text)
     tb = triple_bijection(spec)
