@@ -310,23 +310,23 @@ def _doubling_phi(factors: tuple[int, ...]) -> list[int]:
 
     Doubling step, for G = A x Z_n with n even and A the head: embed
     H = A x Z_{n/2} as the even last coordinates (h has index i in H, 2i
-    here) and take H's map u, a triple bijection since -h - u(h) runs over
-    H.  Let chi(h) be the parity of h's first coordinate, a homomorphism
-    H -> Z2 since f_0 is even, and delta the unit vector of that
-    coordinate, so chi(delta) = 1; with c = (0, ..., 0, 1), 2c lies in H
-    and chi(2c) = 0, since the first coordinate is not the last.  Split H
-    along S = {h : chi(h + u(h)) = 0}:
+    here) and take H's map u, so u and h -> h + u(h) are bijections of H.
+    Let chi(h) be the parity of h's first coordinate, a homomorphism
+    H -> Z2 since f_0 is even, H_0 and H_1 its two fibres, and delta the
+    unit vector of that coordinate, so chi(delta) = 1; with
+    c = (0, ..., 0, 1), 2c lies in H and chi(2c) = 0, since the first
+    coordinate is not the last.  Split H along S = {h : h + u(h) in H_0}:
 
     * h in S: phi(h) = u(h) and phi(c + h) = u(h) + delta + c;
     * h not in S: phi(h) = u(h) + delta + c and phi(c + h) = u(h).
 
     phi sends the pair h, c + h onto u(h) and u(h) + delta + c, so it is a
-    bijection.  The sums g + phi(g) are h + u(h) and h + u(h) + delta + 2c
-    over S, which fill the halves chi = 0 and chi = 1 of H, and
-    h + u(h) + delta + c and c + h + u(h) off S, which fill the halves
-    chi = 1 and chi = 0 of c + H.  So g -> -g - phi(g) is a bijection too.
-    In indices, delta is the stride order // f_0 of the first coordinate and
-    chi(h) the parity of i // (|H| // f_0).
+    bijection.  Over S the sums g + phi(g) are h + u(h), which fill H_0,
+    and h + u(h) + delta + 2c, which fill H_1; off S they are
+    h + u(h) + delta + c, which fill c + H_0, and c + h + u(h), which fill
+    c + H_1.  So g -> -g - phi(g) is a bijection too.  In indices, delta is
+    the stride order // f_0 of the first coordinate and chi(h) the parity
+    of i // (|H| // f_0).
 
     Every 2-group with more than one involution has a triple bijection,
     since one is a complete mapping (Hall and Paige, Pacific J. Math. 5,
