@@ -13,7 +13,11 @@ from zsmagic import (
     in_class_g,
     verify_kotzig,
 )
-from zsmagic.groups import abelian_groups_up_to
+from zsmagic.groups import Check, abelian_groups_up_to
+
+Z3 = GroupSpec((3,))
+GROUP_ROW = "row %d is not a permutation of the group"
+INT_ROW = "row %d is not a permutation of 0..2"
 
 
 class TestGroupBuilders:
@@ -153,5 +157,37 @@ class TestVerifier:
         assert not verify_kotzig(IntKotzigArray(3, ())).ok
 
     def test_rejects_unknown_type(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"not a Kotzig array: \[\[0, 1\], \[1, 0\]\]"):
             verify_kotzig([[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "array, verdict",
+        [
+            (GroupKotzigArray(Z3, ((0, 1, 2), (0, 0, 2), (0, 1))), Check(False, row=1, reason=GROUP_ROW % 1)),
+            (GroupKotzigArray(Z3, ((0, 1, 2), (0, 1), (0, 0, 2))), Check(False, row=1, reason=GROUP_ROW % 1)),
+            (GroupKotzigArray(Z3, ((0, 1),)), Check(False, row=0, reason=GROUP_ROW % 0)),
+            (GroupKotzigArray(Z3, ((0, 1, 2, 0),)), Check(False, row=0, reason=GROUP_ROW % 0)),
+            (GroupKotzigArray(Z3, ((2, 1, 0), (0, 1, 3))), Check(False, row=1, reason=GROUP_ROW % 1)),
+            (IntKotzigArray(3, ((0, 1, 2), (0, 0, 2), (0, 1))), Check(False, row=1, reason=INT_ROW % 1)),
+            (IntKotzigArray(3, ((0, 1, 2), (2, 1), (0, 0, 2))), Check(False, row=1, reason=INT_ROW % 1)),
+            (IntKotzigArray(3, ((0, 1),)), Check(False, row=0, reason=INT_ROW % 0)),
+            (IntKotzigArray(3, ((2, 1, 0), (0, 1, 3))), Check(False, row=1, reason=INT_ROW % 1)),
+            (GroupKotzigArray(Z3, ()), Check(False, reason="the array has no rows")),
+            (IntKotzigArray(3, ()), Check(False, reason="the array has no rows")),
+            (
+                GroupKotzigArray(Z3, ((0, 1, 2), (0, 1, 2))),
+                Check(False, col=1, reason="column 1 sums to (2,), column 0 to (0,)"),
+            ),
+            (
+                IntKotzigArray(3, ((0, 1, 2), (0, 1, 2))),
+                Check(False, col=1, reason="column 1 sums to 2, column 0 to 0"),
+            ),
+            (
+                GroupKotzigArray(Z3, ((2, 1, 0), (1, 0, 2))),
+                Check(False, col=1, reason="column 1 sums to (1,), column 0 to (0,)"),
+            ),
+        ],
+    )
+    def test_pinned_reasons(self, array, verdict):
+        """The first failing row wins, whatever comes after it; columns are read only once every row passes."""
+        assert verify_kotzig(array) == verdict

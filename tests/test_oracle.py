@@ -151,6 +151,32 @@ class TestSearchKotzig:
         with pytest.raises(ParameterError, match="capped at 48 cells"):
             search_kotzig(7, 7)
 
+    @pytest.mark.parametrize(
+        "target, j, message",
+        [
+            (GroupSpec((3,)), 0, "row count must be positive, got 0"),
+            (GroupSpec((100,)), -1, "row count must be positive, got -1"),
+            (0, 3, "grid dimensions must be positive, got 3 x 0"),
+            (3, 0, "grid dimensions must be positive, got 0 x 3"),
+            (100, 0, "grid dimensions must be positive, got 0 x 100"),
+            (GroupSpec((7,)), 7, "exhaustive array search capped at 48 cells"),
+            (GroupSpec((2, 25)), 1, "exhaustive array search capped at 48 cells"),
+            (49, 1, "exhaustive array search capped at 48 cells"),
+            (7, 7, "exhaustive array search capped at 48 cells"),
+            ("Z4", 2, "target must be a GroupSpec or an integer, got 'Z4'"),
+            ("Z4", 0, "target must be a GroupSpec or an integer, got 'Z4'"),
+            (None, 100, "target must be a GroupSpec or an integer, got None"),
+        ],
+    )
+    def test_pinned_refusals(self, target, j, message):
+        with pytest.raises(ParameterError) as caught:
+            search_kotzig(target, j)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("target, j", [(GroupSpec((16,)), 3), (GroupSpec((48,)), 1), (16, 3), (48, 1)])
+    def test_cell_cap_admits_48_cells(self, target, j):
+        assert search_kotzig(target, j, budget=10).nodes <= 11
+
 
 class TestGridBudget:
     """A search cut at budget b reports b + 1 nodes, and one given at least
