@@ -57,32 +57,31 @@ def verify_kotzig(array) -> Check:
 
     Reports the first violating row or column.  Group arrays may have any
     constant column sum; integer column sums are forced to j(k-1)/2 by
-    the row sums anyway.  An array without rows is rejected.  Once every
-    row is a permutation, each group column is summed once from a
-    ``PackedTable``.
+    the row sums anyway.  An array without rows is rejected, and nothing
+    of size k is built until row 0 has k entries.  Once every row is a
+    permutation, each group column is summed once from a ``PackedTable``.
     """
     if isinstance(array, GroupKotzigArray):
-        spec = array.spec
-        check_order(spec.order)
-        full = set(range(spec.order))
-        for r, row in enumerate(array.rows):
-            if len(row) != spec.order or set(row) != full:
-                return Check(False, row=r, reason=f"row {r} is not a permutation of the group")
-        packed = PackedTable(spec, array.j)
-        sums = list(map(sum, zip(*(map(packed.table.__getitem__, row) for row in array.rows))))
-        c, name = packed.first_unlike(sums, sums[0] if sums else 0), packed.element
+        what = "the group"
     elif isinstance(array, IntKotzigArray):
-        identity = tuple(range(array.k))
-        reverse = identity[::-1]
-        for r, row in enumerate(array.rows):
-            if row != identity and row != reverse and not (len(row) == array.k and set(row).issuperset(identity)):
-                return Check(False, row=r, reason=f"row {r} is not a permutation of 0..{array.k - 1}")
-        sums, name = list(map(sum, zip(*array.rows))), str
-        c = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None
+        what = f"0..{array.k - 1}"
     else:
         raise ParameterError(f"not a Kotzig array: {array!r}")
-    if not array.rows:
+    rows, k = array.rows, array.k
+    if not rows:
         return Check(False, reason="the array has no rows")
+    identity = tuple(range(k)) if len(rows[0]) == k else ()
+    reverse = identity[::-1]
+    for r, row in enumerate(rows):
+        if len(row) != k or (row != identity and row != reverse and not set(row).issuperset(identity)):
+            return Check(False, row=r, reason=f"row {r} is not a permutation of {what}")
+    if isinstance(array, GroupKotzigArray):
+        packed = PackedTable(array.spec, array.j)
+        sums = list(map(sum, zip(*(map(packed.table.__getitem__, row) for row in rows))))
+        c, name = packed.first_unlike(sums, sums[0]), packed.element
+    else:
+        sums, name = list(map(sum, zip(*rows))), str
+        c = next(c for c, s in enumerate(sums) if s != sums[0]) if len(set(sums)) > 1 else None
     if c is not None:
         return Check(False, col=c, reason=f"column {c} sums to {name(sums[c])}, column 0 to {name(sums[0])}")
     return Check(True)
@@ -91,11 +90,6 @@ def verify_kotzig(array) -> Check:
 def _rows_2(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     check_order(spec.order)
     return (tuple(range(spec.order)), tuple(multiples(spec, -1)))
-
-
-def _rows_3(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    tb = triple_bijection(spec)
-    return (tuple(range(spec.order)), tb.phi, tb.psi)
 
 
 def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
@@ -122,7 +116,8 @@ def build_group_kotzig(spec: GroupSpec, j: int) -> GroupKotzigArray:
             "the grid total equal that involution, not the identity"
         )
     else:
-        rows = _rows_3(spec) + (_rows_2(spec) * ((j - 3) // 2) if j > 3 else ())
+        tb = triple_bijection(spec)
+        rows = (tuple(range(spec.order)), tb.phi, tb.psi) + (_rows_2(spec) * ((j - 3) // 2) if j > 3 else ())
     array = GroupKotzigArray(spec, rows)
     return checked(array, verify_kotzig(array))
 

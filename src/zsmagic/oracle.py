@@ -279,10 +279,32 @@ def search_kotzig(target, j: int, budget: int = DEFAULT_BUDGET) -> SearchReport:
     with the last row forced by the column sum.
     """
     if isinstance(target, GroupSpec):
-        return _search_group_kotzig(target, j, budget)
-    if isinstance(target, int):
-        return _search_int_kotzig(target, j, budget)
-    raise ParameterError(f"target must be a GroupSpec or an integer, got {target!r}")
+        if j < 1:
+            raise ParameterError(f"row count must be positive, got {j}")
+        kind, k = GroupKotzigArray, target.order
+    elif isinstance(target, int):
+        if j < 1 or target < 1:
+            raise ParameterError(f"grid dimensions must be positive, got {j} x {target}")
+        kind, k = IntKotzigArray, target
+    else:
+        raise ParameterError(f"target must be a GroupSpec or an integer, got {target!r}")
+    if j * k > KOTZIG_CELL_CAP:
+        raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
+
+    def array_of(grid):
+        return kind(target, tuple(map(tuple, grid)))
+
+    if kind is GroupKotzigArray:
+        return _search_group_grid(target, j, array_of, verify_kotzig, budget)
+    if (j * (k - 1)) % 2 != 0:
+        # the common column sum would be j(k-1)/2, not an integer
+        return SearchReport(False, True, 0)
+    mu = j * (k - 1) // 2
+    # a column total never exceeds (j - 1)(k - 1) before its last cell
+    totals = range((j - 1) * (k - 1) + 1)
+    step = [[s + v for v in range(k)] for s in totals]
+    forced = [mu - s if 0 <= mu - s < k else -1 for s in totals]
+    return _search_grid(j, k, step, forced, array_of, verify_kotzig, budget)
 
 
 def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -> SearchReport:
@@ -353,18 +375,6 @@ def _search_grid(j: int, k: int, step, forced, witness_of, check, budget: int) -
     return _settle(budget, search, lambda: witness_of(grid), check)
 
 
-def _search_group_kotzig(spec: GroupSpec, j: int, budget: int) -> SearchReport:
-    if j < 1:
-        raise ParameterError(f"row count must be positive, got {j}")
-    if j * spec.order > KOTZIG_CELL_CAP:
-        raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
-
-    def array_of(grid):
-        return GroupKotzigArray(spec, tuple(map(tuple, grid)))
-
-    return _search_group_grid(spec, j, array_of, verify_kotzig, budget)
-
-
 def _search_group_grid(spec: GroupSpec, j: int, witness_of, check, budget: int) -> SearchReport:
     """The grid kernel over a group at column sum 0, which loses no array
     (module docstring).  The grid total j * sum_all(spec) is also k * mu = 0,
@@ -374,26 +384,6 @@ def _search_group_grid(spec: GroupSpec, j: int, witness_of, check, budget: int) 
     _elems, add, neg = _tables(spec)
     # a column with total s closes on -s
     return _search_grid(j, spec.order, add, neg, witness_of, check, budget)
-
-
-def _search_int_kotzig(k: int, j: int, budget: int) -> SearchReport:
-    if j < 1 or k < 1:
-        raise ParameterError(f"grid dimensions must be positive, got {j} x {k}")
-    if j * k > KOTZIG_CELL_CAP:
-        raise ParameterError(f"exhaustive array search capped at {KOTZIG_CELL_CAP} cells")
-    if (j * (k - 1)) % 2 != 0:
-        # the common column sum would be j(k-1)/2, not an integer
-        return SearchReport(False, True, 0)
-    mu = j * (k - 1) // 2
-    # a column total never exceeds (j - 1)(k - 1) before its last cell
-    totals = range((j - 1) * (k - 1) + 1)
-    step = [[s + v for v in range(k)] for s in totals]
-    forced = [mu - s if 0 <= mu - s < k else -1 for s in totals]
-
-    def array_of(grid):
-        return IntKotzigArray(k, tuple(map(tuple, grid)))
-
-    return _search_grid(j, k, step, forced, array_of, verify_kotzig, budget)
 
 
 # -- magic labeling search --------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from conftest import elements, indices
 
@@ -191,3 +193,30 @@ class TestVerifier:
     def test_pinned_reasons(self, array, verdict):
         """The first failing row wins, whatever comes after it; columns are read only once every row passes."""
         assert verify_kotzig(array) == verdict
+
+    @pytest.mark.parametrize(
+        "array, verdict",
+        [
+            (GroupKotzigArray(GroupSpec((1 << 21,)), ()), Check(False, reason="the array has no rows")),
+            (
+                GroupKotzigArray(GroupSpec((1 << 21,)), ((0,),)),
+                Check(False, row=0, reason="row 0 is not a permutation of the group"),
+            ),
+            (
+                IntKotzigArray(1 << 24, ((0,),)),
+                Check(False, row=0, reason=f"row 0 is not a permutation of 0..{(1 << 24) - 1}"),
+            ),
+        ],
+        ids=["group-past-bound-empty", "group-past-bound-short-row", "int-short-row"],
+    )
+    def test_short_array_rejected_without_order_sized_rows(self, array, verdict):
+        """An empty or short-row array is rejected before anything of the group's size is
+        built, and is rejected, not refused, past the order bound."""
+        tracemalloc.start()
+        try:
+            check = verify_kotzig(array)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check == verdict
+        assert peak < 16 * 2**20
