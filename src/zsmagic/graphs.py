@@ -126,8 +126,11 @@ class Graph:
     def balanced_bipartition(self):
         """A proper 2-coloring with equal sides, or None.
 
-        The BFS bipartition wins when balanced; otherwise component sides
-        are swapped (subset-sum over components) to reach n/2.
+        The BFS bipartition wins when balanced.  Otherwise every component
+        starts smaller side first, and a bounded subset sum over the
+        components' side differences, its reachable totals the bits of one
+        int and each difference's count split into powers of two, picks how
+        many of each difference turn larger side first to reach n/2.
         """
         if self.n % 2 != 0:
             return None
@@ -137,20 +140,31 @@ class Graph:
         half = self.n // 2
         if sum(len(a) for a, _ in comps) == half:
             return _sides(comps)
-        # reachable[i] = set of side-1 totals using the first i components
-        reachable = [{0}]
-        for a, b in comps:
-            reachable.append({t + len(a) for t in reachable[-1]} | {t + len(b) for t in reachable[-1]})
-        if half not in reachable[-1]:
+        by_diff = defaultdict(list)
+        for comp in comps:
+            small, large = sorted(comp, key=len)
+            by_diff[len(large) - len(small)].append((small, large))
+        need = half - sum(len(small) for members in by_diff.values() for small, _ in members)
+        parts = []  # (difference, count): the counts of one difference sum to its members
+        for d, members in by_diff.items():
+            left, p = len(members), 1
+            while d and left:
+                parts.append((d, min(p, left)))
+                left, p = left - parts[-1][1], 2 * p
+        reach, before, window = 1, [], (2 << need) - 1
+        for d, p in parts:
+            before.append(reach)
+            reach = (reach | reach << d * p) & window
+        if not reach >> need & 1:
             return None
+        turned = defaultdict(int)
+        for (d, p), mask in zip(reversed(parts), reversed(before)):
+            if not mask >> need & 1:
+                need -= d * p
+                turned[d] += p
         oriented = []
-        need = half
-        for i in range(len(comps) - 1, -1, -1):
-            a, b = comps[i]
-            if need - len(a) not in reachable[i]:
-                a, b = b, a
-            oriented.append((a, b))
-            need -= len(a)
+        for d, members in by_diff.items():
+            oriented += [(large, small) for small, large in members[: turned[d]]] + members[turned[d] :]
         return _sides(oriented)
 
     def __eq__(self, other):

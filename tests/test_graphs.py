@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+from itertools import product
+
 import pytest
 from conftest import indices
 from hypothesis import given, settings
@@ -85,6 +89,54 @@ class TestGraphModel:
         monkeypatch.setattr(Graph, "_bfs_components", counting)
         v1, v2 = Graph(6, edges).balanced_bipartition()
         assert len(v1) == len(v2) == 3 and passes == [6]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_balanced_bipartition_matches_component_orientations(self, seed):
+        """Random disconnected bipartite graphs of up to 12 components: a coloring is
+        returned exactly when some choice of each component's side reaches n/2."""
+        rng = random.Random(seed)
+        for _ in range(50):
+            sizes = []
+            for _ in range(rng.randint(1, 12)):
+                a = rng.randint(1, 4)
+                sizes.append((a, rng.randint(0 if a == 1 else 1, 4)))
+            n = sum(a + b for a, b in sizes)
+            names = rng.sample(range(n), n)
+            edges, start = [], 0
+            for a, b in sizes:
+                left, right = list(range(start, start + a)), list(range(start + a, start + a + b))
+                if b:
+                    # a random spanning tree, each vertex joined to an earlier one of the other side,
+                    # then a few more crossing edges
+                    added, rest = [[left[0]], [right[0]]], [(0, u) for u in left[1:]] + [(1, v) for v in right[1:]]
+                    edges.append((left[0], right[0]))
+                    for side, u in rng.sample(rest, len(rest)):
+                        edges.append((u, rng.choice(added[1 - side])))
+                        added[side].append(u)
+                    edges += [(rng.choice(left), rng.choice(right)) for _ in range(rng.randint(0, 3))]
+                start += a + b
+            g = Graph(n, [(names[u], names[v]) for u, v in edges])
+            feasible = n % 2 == 0 and any(
+                sum(side[t] for side, t in zip(sizes, choice)) == n // 2
+                for choice in product((0, 1), repeat=len(sizes))
+            )
+            balanced = g.balanced_bipartition()
+            assert (balanced is not None) == feasible, sizes
+            if balanced is not None:
+                v1, v2 = balanced
+                assert len(v1) == len(v2) == n // 2 and sorted(v1 + v2) == list(range(n))
+                side = {v: 0 for v in v1} | {v: 1 for v in v2}
+                assert all(side[u] != side[v] for u, v in g.edges())
+
+    def test_balanced_bipartition_of_many_components_stays_small(self):
+        tracemalloc.start()
+        try:
+            v1, v2 = Graph(2002).balanced_bipartition()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(v1) == len(v2) == 1001
+        assert peak < 32 * 2**20
 
 
 class TestLexProduct:
