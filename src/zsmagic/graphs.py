@@ -126,11 +126,10 @@ class Graph:
     def balanced_bipartition(self):
         """A proper 2-coloring with equal sides, or None.
 
-        The BFS bipartition wins when balanced.  Otherwise every component
-        starts smaller side first, and a bounded subset sum over the
-        components' side differences, its reachable totals the bits of one
-        int and each difference's count split into powers of two, picks how
-        many of each difference turn larger side first to reach n/2.
+        The BFS bipartition wins when balanced.  Otherwise components start
+        smaller side first, and a bounded subset sum over their side
+        differences, with the reachable totals as the bits of one int, picks
+        how many components of each difference turn larger side first.
         """
         if self.n % 2 != 0:
             return None
@@ -140,32 +139,25 @@ class Graph:
         half = self.n // 2
         if sum(len(a) for a, _ in comps) == half:
             return _sides(comps)
+        need = half - sum(min(map(len, comp)) for comp in comps)
         by_diff = defaultdict(list)
         for comp in comps:
             small, large = sorted(comp, key=len)
             by_diff[len(large) - len(small)].append((small, large))
-        need = half - sum(len(small) for members in by_diff.values() for small, _ in members)
-        parts = []  # (difference, count): the counts of one difference sum to its members
+        parts, reach, window = [], 1, (2 << need) - 1  # parts: (difference, count, totals reachable before)
         for d, members in by_diff.items():
-            left, p = len(members), 1
-            while d and left:
-                parts.append((d, min(p, left)))
-                left, p = left - parts[-1][1], 2 * p
-        reach, before, window = 1, [], (2 << need) - 1
-        for d, p in parts:
-            before.append(reach)
-            reach = (reach | reach << d * p) & window
+            p, left = 1, len(members) if d else 0  # the count splits into 1, 2, 4, ... and a rest
+            while left:
+                q = min(p, left)
+                parts.append((d, q, reach))
+                reach, left, p = (reach | reach << d * q) & window, left - q, 2 * p
         if not reach >> need & 1:
             return None
         turned = defaultdict(int)
-        for (d, p), mask in zip(reversed(parts), reversed(before)):
-            if not mask >> need & 1:
-                need -= d * p
-                turned[d] += p
-        oriented = []
-        for d, members in by_diff.items():
-            oriented += [(large, small) for small, large in members[: turned[d]]] + members[turned[d] :]
-        return _sides(oriented)
+        for d, q, before in reversed(parts):
+            if not before >> need & 1:
+                need, turned[d] = need - d * q, turned[d] + q
+        return _sides([c[::-1] if i < turned[d] else c for d, cs in by_diff.items() for i, c in enumerate(cs)])
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.adj == other.adj

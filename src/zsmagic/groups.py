@@ -8,9 +8,10 @@ tie-break in the package refers to that order.
 
 The four certificate objects (zero-sum partitions, triple bijections,
 Kotzig arrays and labelings) hold element indices in that order.  This
-module alone turns indices into text (``write_rows``, through a names list
-such as ``element_texts``, which ``element_names`` inverts for the readers)
-and into summable integers (``PackedTable``).
+module names the elements (``element_texts``, which ``element_names``
+inverts for the readers), writes the rows of partitions and Kotzig arrays
+(``write_rows``; bijections and labelings write their own rows from the
+same names) and turns indices into summable integers (``PackedTable``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product as _cartesian, repeat
 from operator import add as _add, mod as _mod, neg as _neg, sub as _sub
 
@@ -368,7 +368,6 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def canonical_factors(spec: GroupSpec) -> tuple[int, ...]:
     """Prime-power components of the presentation, sorted ascending.
 
