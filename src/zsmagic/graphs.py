@@ -141,9 +141,8 @@ class Graph:
             return _sides(comps)
         need = half - sum(min(map(len, comp)) for comp in comps)
         by_diff = defaultdict(list)
-        for comp in comps:
-            small, large = sorted(comp, key=len)
-            by_diff[len(large) - len(small)].append((small, large))
+        for a, b in comps:
+            by_diff[abs(len(a) - len(b))].append((a, b) if len(a) <= len(b) else (b, a))
         parts, reach, window = [], 1, (2 << need) - 1  # parts: (difference, count, totals reachable before)
         for d, members in by_diff.items():
             p, left = 1, len(members) if d else 0  # the count splits into 1, 2, 4, ... and a rest
